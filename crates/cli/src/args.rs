@@ -2,7 +2,8 @@
 //!
 //! The approved offline dependency set has no CLI crate, so flags are
 //! parsed by hand: `--flag value`, `--flag=value` and boolean `--flag` are
-//! supported, plus positional arguments.
+//! supported, plus positional arguments. Every flag must be declared: an
+//! undeclared `--name` is an error, never a silently ignored option.
 
 use std::collections::HashMap;
 
@@ -14,7 +15,8 @@ pub struct ParsedArgs {
     flags: HashMap<String, Vec<String>>,
 }
 
-/// Parse error (unknown syntax only; semantic checks live with commands).
+/// Parse error (unknown flags and syntax only; semantic checks live with
+/// commands).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArgError(pub String);
 
@@ -27,33 +29,42 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl ParsedArgs {
-    /// Parses raw arguments. `bool_flags` lists flags that take no value.
-    pub fn parse(args: &[String], bool_flags: &[&str]) -> Result<ParsedArgs, ArgError> {
+    /// Parses raw arguments. `bool_flags` lists flags that take no value,
+    /// `value_flags` those that take one; any other `--name` (or
+    /// `--name=v`) is an error naming the flag.
+    pub fn parse(
+        args: &[String],
+        bool_flags: &[&str],
+        value_flags: &[&str],
+    ) -> Result<ParsedArgs, ArgError> {
         let mut out = ParsedArgs::default();
         let mut i = 0;
         while i < args.len() {
             let a = &args[i];
             if let Some(name) = a.strip_prefix("--") {
-                if let Some((k, v)) = name.split_once('=') {
-                    out.flags
-                        .entry(k.to_string())
-                        .or_default()
-                        .push(v.to_string());
-                } else if bool_flags.contains(&name) {
-                    out.flags
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(String::new());
+                let (key, inline) = match name.split_once('=') {
+                    Some((k, v)) => (k, Some(v)),
+                    None => (name, None),
+                };
+                let value = if value_flags.contains(&key) {
+                    match inline {
+                        Some(v) => v.to_string(),
+                        None => {
+                            i += 1;
+                            args.get(i)
+                                .ok_or_else(|| ArgError(format!("--{key} expects a value")))?
+                                .clone()
+                        }
+                    }
+                } else if bool_flags.contains(&key) {
+                    if inline.is_some() {
+                        return Err(ArgError(format!("--{key} takes no value")));
+                    }
+                    String::new()
                 } else {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .ok_or_else(|| ArgError(format!("--{name} expects a value")))?;
-                    out.flags
-                        .entry(name.to_string())
-                        .or_default()
-                        .push(v.clone());
-                }
+                    return Err(ArgError(format!("unknown flag --{key}")));
+                };
+                out.flags.entry(key.to_string()).or_default().push(value);
             } else {
                 out.positional.push(a.clone());
             }
@@ -106,9 +117,12 @@ impl ParsedArgs {
 mod tests {
     use super::*;
 
+    const BOOLS: &[&str] = &["verbose"];
+    const VALUES: &[&str] = &["trees", "threads", "seed", "max-trees"];
+
     fn parse(v: &[&str]) -> ParsedArgs {
         let owned: Vec<String> = v.iter().map(|s| s.to_string()).collect();
-        ParsedArgs::parse(&owned, &["verbose", "incremental"]).unwrap()
+        ParsedArgs::parse(&owned, BOOLS, VALUES).unwrap()
     }
 
     #[test]
@@ -130,7 +144,7 @@ mod tests {
     #[test]
     fn missing_value_is_error() {
         let owned: Vec<String> = vec!["--trees".into()];
-        assert!(ParsedArgs::parse(&owned, &[]).is_err());
+        assert!(ParsedArgs::parse(&owned, BOOLS, VALUES).is_err());
     }
 
     #[test]

@@ -58,7 +58,7 @@ USAGE:
   gentrius stand   --trees FILE | (--species FILE --pam FILE)
                    [--threads N] [--max-trees N] [--max-states N] [--max-hours H]
                    [--no-dynamic] [--initial-tree IDX]
-                   [--mapping recompute|incremental|edge-indexed]
+                   [--mapping recompute|edge-indexed]
                    [--print-trees] [--output FILE[.stand]] [--max-collect N]
                    [--metrics-json FILE] [--trace-json FILE]
                    [--no-adaptive-split] [--stop-poll-stride N]
@@ -115,23 +115,57 @@ per worker before forwarding them to the collector; --coarse-flush
 raises the counter-flush thresholds for blow-up instances.
 ";
 
+/// Every flag that takes no value, across all subcommands.
+const BOOL_FLAGS: &[&str] = &[
+    "no-dynamic",
+    "print-trees",
+    "no-steal",
+    "no-adaptive-split",
+    "coarse-flush",
+    "trace",
+    "likelihood",
+    "help",
+];
+
+/// Every flag that takes a value, across all subcommands (`--dataset` is
+/// accepted wherever `--trees` is). Anything else is rejected by name.
+const VALUE_FLAGS: &[&str] = &[
+    "branch-len",
+    "checkpoint-every",
+    "count",
+    "dataset",
+    "emit-batch",
+    "from",
+    "index",
+    "initial-tree",
+    "input",
+    "kind",
+    "mapping",
+    "matrix",
+    "max-collect",
+    "max-hours",
+    "max-states",
+    "max-ticks",
+    "max-trees",
+    "metrics-json",
+    "min-support",
+    "output",
+    "pam",
+    "partitions",
+    "scale",
+    "scenario",
+    "seed",
+    "species",
+    "stop-poll-stride",
+    "threads",
+    "trace-json",
+    "trees",
+];
+
 /// Dispatches a full command line (without the program name).
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let parsed = ParsedArgs::parse(
-        args,
-        &[
-            "no-dynamic",
-            "incremental",
-            "print-trees",
-            "no-steal",
-            "no-adaptive-split",
-            "coarse-flush",
-            "trace",
-            "likelihood",
-            "help",
-        ],
-    )
-    .map_err(|e| CliError(e.to_string()))?;
+    let parsed =
+        ParsedArgs::parse(args, BOOL_FLAGS, VALUE_FLAGS).map_err(|e| CliError(e.to_string()))?;
     if parsed.has("help") {
         return Ok(USAGE.to_string());
     }
@@ -226,8 +260,6 @@ fn config_from(a: &ParsedArgs) -> Result<GentriusConfig, CliError> {
             max_time: Some(Duration::from_secs_f64(max_hours * 3600.0)),
         },
         mapping: match a.get("mapping") {
-            // `--incremental` predates `--mapping` and is kept as an alias.
-            None if a.has("incremental") => MappingMode::Incremental,
             None => MappingMode::default(),
             Some(v) => v.parse::<MappingMode>().map_err(CliError)?,
         },
@@ -1485,6 +1517,18 @@ mod tests {
     }
 
     #[test]
+    fn usage_flags_are_all_declared() {
+        for word in USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if let Some(flag) = word.strip_prefix("--") {
+                assert!(
+                    BOOL_FLAGS.contains(&flag) || VALUE_FLAGS.contains(&flag),
+                    "--{flag} is documented but not declared"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn mapping_flag_selects_engine_and_rejects_junk() {
         let p = write_tmp("mapping.nwk", "((A,B),(C,D));\n((C,D),(E,F));\n");
         let path = p.to_str().unwrap();
@@ -1496,15 +1540,17 @@ mod tests {
                 .unwrap()
                 .to_string()
         };
-        for mode in ["recompute", "incremental", "edge-indexed"] {
+        for mode in ["recompute", "edge-indexed"] {
             let out = run_strs(&["stand", "--trees", path, "--mapping", mode]).unwrap();
             assert!(out.contains(&format!("mapping: {mode}")), "{out}");
             assert_eq!(grab(&out), grab(&default), "mode {mode}");
         }
-        // Legacy alias still works and still means incremental.
-        let legacy = run_strs(&["stand", "--trees", path, "--incremental"]).unwrap();
-        assert!(legacy.contains("mapping: incremental"), "{legacy}");
         assert!(run_strs(&["stand", "--trees", path, "--mapping", "hash"]).is_err());
+        // The removed engine and its legacy alias are rejected by name.
+        let e = run_strs(&["stand", "--trees", path, "--incremental"]).unwrap_err();
+        assert!(e.0.contains("--incremental"), "{e}");
+        let e = run_strs(&["stand", "--trees", path, "--mapping", "incremental"]).unwrap_err();
+        assert!(e.0.contains("'incremental'"), "{e}");
     }
 
     #[test]

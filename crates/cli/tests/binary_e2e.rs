@@ -128,6 +128,33 @@ fn error_paths_exit_nonzero() {
 
     let out = gentrius().args(["frobnicate"]).output().expect("runs");
     assert!(!out.status.success());
+
+    // Unknown flags and removed options fail by name instead of being
+    // ignored (a misspelt `--max-tree` once ran the unbounded enumeration)
+    // or swallowing the next argument as their value.
+    let trees = tmp("flags.nwk");
+    std::fs::write(&trees, "((A,B),(C,D));\n((C,D),(E,F));\n").unwrap();
+    let trees = trees.to_str().unwrap();
+    for (extra, named) in [
+        (&["--max-tree", "10"][..], "--max-tree"),
+        (&["--incremental"][..], "--incremental"),
+        (&["--mapping", "incremental"][..], "incremental"),
+        (&["--no-dynamc", "--threads", "2"][..], "--no-dynamc"),
+        (&["--nope=1"][..], "--nope"),
+        (&["--print-trees=yes"][..], "--print-trees"),
+    ] {
+        let out = gentrius()
+            .args(["stand", "--trees", trees])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(!out.status.success(), "{extra:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("error:") && err.contains(named),
+            "{extra:?}: {err}"
+        );
+    }
 }
 
 /// `stand cat FILE.stand | head -1` must exit 0: head closes the pipe

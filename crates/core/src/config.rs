@@ -49,14 +49,11 @@ pub enum MappingMode {
     /// Recompute all attachment maps at every state — the oracle engine
     /// every other mode is conformance-checked against.
     Recompute,
-    /// Patch `Arc<Split>`-based maps incrementally on insert/remove with an
-    /// undo log (the scheme the paper's implementation uses; §V notes it
-    /// costs 15–30% of total runtime to maintain).
-    Incremental,
     /// Flat `Vec<SplitId>` kernels indexed by `EdgeId` with arena-interned
-    /// splits, patched on insert/undone on remove: the admissibility test
-    /// collapses to one integer compare per (edge, constraint). The
-    /// default.
+    /// splits, patched on insert/undone on remove (the paper's implementation
+    /// keeps its mappings alive the same way; §V measures that upkeep at
+    /// 15–30% of total runtime): the admissibility test collapses to one
+    /// integer compare per (edge, constraint). The default.
     #[default]
     EdgeIndexed,
 }
@@ -66,7 +63,6 @@ impl MappingMode {
     pub fn as_str(self) -> &'static str {
         match self {
             MappingMode::Recompute => "recompute",
-            MappingMode::Incremental => "incremental",
             MappingMode::EdgeIndexed => "edge-indexed",
         }
     }
@@ -84,10 +80,9 @@ impl std::str::FromStr for MappingMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "recompute" => Ok(MappingMode::Recompute),
-            "incremental" => Ok(MappingMode::Incremental),
             "edge-indexed" | "edgeindexed" => Ok(MappingMode::EdgeIndexed),
             other => Err(format!(
-                "unknown mapping mode '{other}' (expected recompute, incremental or edge-indexed)"
+                "unknown mapping mode '{other}' (expected recompute or edge-indexed)"
             )),
         }
     }
@@ -200,11 +195,7 @@ mod tests {
 
     #[test]
     fn mapping_mode_round_trips_through_names() {
-        for mode in [
-            MappingMode::Recompute,
-            MappingMode::Incremental,
-            MappingMode::EdgeIndexed,
-        ] {
+        for mode in [MappingMode::Recompute, MappingMode::EdgeIndexed] {
             assert_eq!(mode.as_str().parse::<MappingMode>(), Ok(mode));
         }
         assert_eq!(
@@ -212,6 +203,11 @@ mod tests {
             Ok(MappingMode::EdgeIndexed)
         );
         assert!("hashmap".parse::<MappingMode>().is_err());
+        let removed = "incremental".parse::<MappingMode>().unwrap_err();
+        assert!(
+            removed.contains("recompute") && removed.contains("edge-indexed"),
+            "{removed}"
+        );
     }
 
     #[test]

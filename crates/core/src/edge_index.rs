@@ -1,10 +1,11 @@
 //! Edge-indexed admissibility kernels — flat, arena-backed projections.
 //!
-//! The incremental engine ([`crate::incremental`]) keeps the paper's
-//! double-edge mappings alive across insertions, but still represents a
-//! projection as `Vec<Option<Arc<Split>>>` and answers the admissibility
-//! test `map[e] == b̂(t)` by comparing full split bitsets. This module is
-//! the flat-vector successor:
+//! The paper's implementation keeps the double-edge mappings alive across
+//! taxon insertions and removals and patches them ("After each taxon
+//! insertion or removal, these mappings are updated", §II-A); §V measures
+//! that upkeep at 15–30% of total runtime. This module is that engine,
+//! built so the admissibility test `map[e] == b̂(t)` never compares split
+//! bitsets:
 //!
 //! * per constraint, every split is interned into a [`SplitArena`] so a
 //!   projection is a plain `Vec<SplitId>` indexed by `EdgeId` and the
@@ -13,10 +14,15 @@
 //! * rebuilds reuse the bitset/traversal scratch of
 //!   [`ProjectionScratch`] and recycle retired id vectors through a pool,
 //!   so the steady-state explore loop allocates nothing per node;
-//! * insertions follow the incremental engine's patch discipline: a
-//!   constraint not containing the inserted taxon gets an O(1) three-slot
-//!   `u32` patch, a containing constraint gets a rebuild with the old
-//!   vectors (plus an arena checkpoint) pushed onto the undo stack.
+//! * inserting taxon `t` on edge `e` splits `e` into a near half (keeps
+//!   the id), a far half and a pendant. A constraint not containing `t`
+//!   keeps its common taxa, so all three edges project to whatever `e`
+//!   projected to: an O(1) three-slot `u32` patch, undone for free (the
+//!   slots of freed edge ids are never read and are rewritten before
+//!   reuse). A constraint containing `t` gains a common taxon and gets a
+//!   rebuild, with the old vectors (plus an arena checkpoint) pushed onto
+//!   the undo stack. Per state, only the constraints containing the
+//!   inserted taxon pay a rebuild.
 //!
 //! [`crate::config::MappingMode::Recompute`] stays available as the oracle
 //! the conformance matrix checks every kernel against.

@@ -1,5 +1,5 @@
 //! `datagen fuzz` — seeded constraint-set mutation fuzzing under the
-//! 3-mode × thread-count conformance matrix.
+//! 2-mode × thread-count conformance matrix.
 //!
 //! ```text
 //! cargo run --release -p gentrius-datagen --bin fuzz -- \

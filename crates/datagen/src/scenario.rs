@@ -90,8 +90,9 @@ pub fn heuristics_showcase() -> Dataset {
 /// trees; 510 states with both heuristics, 5,337 (10.5×) without the
 /// initial-tree rule, 17,382 (34.1×) with 5,502 dead ends without dynamic
 /// insertion — the paper's both-heuristics-matter shape). Indices are tied
-/// to the workspace RNG stream (`shims/rand*`); re-pin with the
-/// `heur_scan`/`find_scenarios` tools if the stream changes.
+/// to the workspace RNG stream (`shims/rand*`); re-pin with
+/// [`find_heuristics_showcase`] (the `find_scenarios` bin) if the stream
+/// changes.
 pub const HEURISTICS_INDEX: u64 = 26;
 
 /// Parameters of the trap search: clustered missingness produces the
@@ -118,8 +119,8 @@ pub fn trap_showcase() -> (Dataset, StoppingRules) {
 
 /// Pre-searched index for [`trap_showcase`] (probe: at a 50k-state budget
 /// the serial run stops early and the 2-thread adapted speedup exceeds
-/// 2.2× — the Fig. 5b distortion). Re-pin with `trap_scan` /
-/// `find_scenarios` if the workspace RNG stream changes.
+/// 2.2× — the Fig. 5b distortion). Re-pin with [`find_trap_instance`]
+/// (the `find_scenarios` bin) if the workspace RNG stream changes.
 pub const TRAP_INDEX: u64 = 32;
 
 /// The reduced stopping rules used by the trap scenario (scaled version of
@@ -343,8 +344,9 @@ fn plateau_family(chunks: usize, free_pairs: usize) -> Dataset {
 }
 
 /// Pre-searched generator indices of the "long runner" family: instances
-/// whose serial virtual cost exceeds ~150k ticks (probe via the
-/// `long_scan` maintenance tool). The first two complete under a 400k
+/// whose serial virtual cost exceeds ~150k ticks (re-pin with
+/// [`find_instance`] and a `gentrius_sim::simulate` makespan predicate).
+/// The first two complete under a 400k
 /// budget (Table II role); the rest have very large stands (Table I role).
 pub const LONG_RUNNER_INDICES: [u64; 6] = [15, 42, 9, 12, 17, 24];
 

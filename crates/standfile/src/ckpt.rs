@@ -14,7 +14,9 @@
 //! "GSTANDC1"
 //! varint version (= 1)
 //! varint problem_hash           FNV-1a 64 over taxa + constraint newicks
-//! varint mapping                0 recompute · 1 incremental · 2 edge-indexed
+//! varint mapping                0 recompute · 2 edge-indexed
+//!                               (1 = retired incremental engine: rejected,
+//!                               reserved, never reused)
 //! varint order_code             StateSnapshot::order_code
 //! varint threads                worker count of the checkpointed run
 //! varint initial_tree           constraint index of the initial agile tree
@@ -341,7 +343,6 @@ impl Checkpoint {
         write_u64(&mut buf, self.problem_hash);
         let mode = match self.mapping {
             MappingMode::Recompute => 0u64,
-            MappingMode::Incremental => 1,
             MappingMode::EdgeIndexed => 2,
         };
         write_u64(&mut buf, mode);
@@ -418,7 +419,7 @@ impl Checkpoint {
         let stored_hash = r.u64("problem hash")?;
         let mapping = match r.u64("mapping mode")? {
             0 => MappingMode::Recompute,
-            1 => MappingMode::Incremental,
+            1 => return Err(r.err("mapping mode 1 (incremental) is no longer supported")),
             2 => MappingMode::EdgeIndexed,
             m => return Err(r.err(&format!("unknown mapping mode {m}"))),
         };

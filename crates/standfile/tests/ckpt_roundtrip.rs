@@ -71,11 +71,7 @@ fn task_strategy() -> impl Strategy<Value = CkptTask> {
 }
 
 fn ckpt_strategy() -> impl Strategy<Value = Checkpoint> {
-    let mapping = prop_oneof![
-        Just(MappingMode::Recompute),
-        Just(MappingMode::Incremental),
-        Just(MappingMode::EdgeIndexed),
-    ];
+    let mapping = prop_oneof![Just(MappingMode::Recompute), Just(MappingMode::EdgeIndexed)];
     // Labels may be empty and may collide across the vectors: the hash
     // NUL-terminates each one precisely so boundary games cannot alias
     // two distinct problems, and round-trips must not care either way.
@@ -235,6 +231,26 @@ fn rejection_table() {
         matches!(&err, StandfileError::Format { msg, .. } if msg.contains("version")),
         "{err}"
     );
+
+    // Mapping tag 1 belonged to the retired incremental engine: it is
+    // reserved and must be refused by name, not as a generic unknown tag.
+    // The mapping varint follows the version byte and the problem-hash
+    // varint.
+    let mapping_at = 9 + good[9..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    assert_eq!(good[mapping_at], 2, "mapping varint moved?");
+    for (tag, expect) in [
+        (1u8, "mapping mode 1 (incremental) is no longer supported"),
+        (3, "unknown mapping mode 3"),
+    ] {
+        let mut bad_mapping = good.clone();
+        bad_mapping[mapping_at] = tag;
+        fix_checksum(&mut bad_mapping);
+        let err = Checkpoint::decode(&bad_mapping).unwrap_err();
+        assert!(
+            matches!(&err, StandfileError::Format { msg, .. } if msg == expect),
+            "tag {tag}: {err}"
+        );
+    }
 
     // Wrong problem hash: flip a taxon label byte and repair the
     // checksum — the stored hash no longer matches the stored problem.
