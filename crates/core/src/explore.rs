@@ -7,8 +7,8 @@
 //! * the **serial driver** just loops `step()`;
 //! * the **threaded engine** additionally calls [`Explorer::split_top`] to
 //!   carve half of the current state's pending branches into a task, and
-//!   [`Explorer::begin_task`]/[`Explorer::end_task`] to replay a received
-//!   task path from the initial-split state `I_0`;
+//!   [`Explorer::for_task`] to explore a received task from the state its
+//!   snapshot resumes;
 //! * the **virtual-time simulator** drives many explorers in lock-step,
 //!   charging one tick per transition.
 //!
@@ -27,7 +27,7 @@ use phylo::tree::EdgeId;
 /// admissible branches not yet descended into.
 #[derive(Clone, Debug)]
 pub struct Frame {
-    /// The edit that created this state (`None` for the root / task base).
+    /// The edit that created this state (`None` for the root / task frame).
     step: Option<AppliedStep>,
     /// The taxon to insert at this state.
     pub taxon: TaxonId,
@@ -65,9 +65,6 @@ pub enum StepEvent {
 pub struct Explorer<'p> {
     state: SearchState<'p>,
     stack: Vec<Frame>,
-    /// Insertions replayed to reach a task's start state; not part of the
-    /// exploration (not counted, not backtracked by `step`).
-    base: Vec<AppliedStep>,
     /// Root state was already complete (single-tree stand); one synthetic
     /// `StandTree` is emitted, then `Finished`.
     root_complete: bool,
@@ -81,7 +78,6 @@ impl<'p> Explorer<'p> {
             root_complete: state.is_complete(),
             state,
             stack: Vec::new(),
-            base: Vec::new(),
         };
         if !ex.root_complete {
             if let Some(next) = ex.state.select_next() {
@@ -96,15 +92,28 @@ impl<'p> Explorer<'p> {
         ex
     }
 
-    /// An idle explorer (no assigned work); used by worker threads that
-    /// receive their work via [`Explorer::begin_task`]. The state should be
-    /// positioned at the initial-split state `I_0`.
-    pub fn new_idle(state: SearchState<'p>) -> Self {
+    /// An explorer for one task: `state` is already positioned at the
+    /// task's start state `I_c` (resumed from a
+    /// [`crate::state::StateSnapshot`]), and only `branches` of `taxon` are
+    /// explored from it. The task frame carries no step, so exhausting it
+    /// never undoes below `I_c`. An empty `branches` on a complete state is
+    /// a checkpoint's pending stand tree: the first step emits it.
+    pub fn for_task(state: SearchState<'p>, taxon: TaxonId, branches: Vec<EdgeId>) -> Self {
+        let root_complete = branches.is_empty() && state.is_complete();
+        let stack = if root_complete {
+            Vec::new()
+        } else {
+            vec![Frame {
+                step: None,
+                taxon,
+                branches,
+                cursor: 0,
+            }]
+        };
         Explorer {
             state,
-            stack: Vec::new(),
-            base: Vec::new(),
-            root_complete: false,
+            stack,
+            root_complete,
         }
     }
 
@@ -128,22 +137,6 @@ impl<'p> Explorer<'p> {
         self.stack.last()
     }
 
-    /// The `(taxon, edge)` insertions currently applied on top of `I_0`:
-    /// the replayed task base (if any) followed by the exploration's own
-    /// insertions — the paper's *path* from `I_0` to the current state
-    /// `I_c`, ready to be shipped inside a new task.
-    pub fn path_from_base(&self) -> Vec<(TaxonId, EdgeId)> {
-        self.base
-            .iter()
-            .map(|s| (s.taxon(), s.edge()))
-            .chain(
-                self.stack
-                    .iter()
-                    .filter_map(|f| f.step.as_ref().map(|s| (s.taxon(), s.edge()))),
-            )
-            .collect()
-    }
-
     /// Splits the top frame's pending branches in half: the first half is
     /// returned (to become a task), the second half stays. `None` unless at
     /// least two branches are pending. (Engine-level conditions — queue
@@ -165,87 +158,26 @@ impl<'p> Explorer<'p> {
         self.state.remaining_count()
     }
 
-    /// Replays a task: applies `path` (uncounted base insertions) from the
-    /// current position, then installs a frame for `taxon` restricted to
-    /// the given `branches` subset. Requires an idle explorer.
-    pub fn begin_task(
-        &mut self,
-        path: &[(TaxonId, EdgeId)],
-        taxon: TaxonId,
-        branches: Vec<EdgeId>,
-    ) {
-        assert!(self.finished(), "begin_task on a busy explorer");
-        assert!(self.base.is_empty(), "previous task base not unwound");
-        for &(t, e) in path {
-            self.base.push(self.state.apply(t, e));
-        }
-        self.stack.push(Frame {
-            step: None,
-            taxon,
-            branches,
-            cursor: 0,
-        });
-    }
-
-    /// Installs a task frame on a state that is *already positioned* at the
-    /// task's start state `I_c` (resumed from a
-    /// [`crate::state::StateSnapshot`] — no base insertions, no kernel
-    /// replay). The frame carries `step: None`, so exhausting it never
-    /// undoes below the resume point. Requires an idle explorer.
-    pub fn resume_task(&mut self, taxon: TaxonId, branches: Vec<EdgeId>) {
-        assert!(self.finished(), "resume_task on a busy explorer");
-        assert!(self.base.is_empty(), "previous task base not unwound");
-        self.stack.push(Frame {
-            step: None,
-            taxon,
-            branches,
-            cursor: 0,
-        });
-    }
-
-    /// Number of insertions currently applied on top of this explorer's
-    /// start state: the replayed base plus the exploration's own applied
-    /// frames. This is the depth a snapshot taken *now* would carry.
+    /// Number of insertions this explorer has applied on top of its start
+    /// state: the depth a snapshot taken *now* carries past it.
     pub fn applied_depth(&self) -> usize {
-        self.base.len() + self.stack.iter().filter(|f| f.step.is_some()).count()
-    }
-
-    /// Unwinds the task base replayed by [`Explorer::begin_task`],
-    /// returning the state to `I_0`. The task's frames must be exhausted.
-    pub fn end_task(&mut self) {
-        assert!(self.finished(), "end_task on a busy explorer");
-        while let Some(step) = self.base.pop() {
-            self.state.undo(&step);
-        }
-    }
-
-    /// Abandons the remaining frames without exploring them (used when a
-    /// stopping rule fires mid-task): undoes every applied insertion so the
-    /// explorer is back at its base state and `finished()`.
-    pub fn abort_frames(&mut self) {
-        while let Some(f) = self.stack.pop() {
-            if let Some(step) = &f.step {
-                self.state.undo(step);
-            }
-        }
-        self.root_complete = false;
+        self.stack.iter().filter(|f| f.step.is_some()).count()
     }
 
     /// Drains the un-explored frontier into task descriptors and unwinds
     /// every frame (checkpoint support): each frame with pending branches
     /// becomes one `(state snapshot, taxon, pending branches)` triple —
     /// the snapshot is taken in that frame's own context, so resuming it
-    /// with [`Explorer::resume_task`] explores exactly the branches the
+    /// with [`Explorer::for_task`] explores exactly the branches the
     /// frame had left. The union of the descriptors is precisely the work
     /// this explorer had not done, so a paused run's counters and stand
     /// set stay exact across a checkpoint/resume cycle.
     ///
     /// Frames are drained top-down (deepest context first); afterwards the
-    /// explorer is `finished()` and back at its base state, like after
-    /// [`Explorer::abort_frames`]. A pending `root_complete` (the root
-    /// state was already a complete tree whose synthetic emission has not
-    /// happened yet) becomes a descriptor with an empty branch set; the
-    /// resume side detects the complete snapshot and re-emits it.
+    /// explorer is `finished()` and back at its start state. A pending
+    /// `root_complete` (the root state was already a complete tree whose
+    /// synthetic emission has not happened yet) becomes a descriptor with
+    /// an empty branch set, which [`Explorer::for_task`] re-emits.
     pub fn drain_frontier(&mut self) -> Vec<(crate::state::StateSnapshot, TaxonId, Vec<EdgeId>)> {
         let mut out = Vec::new();
         if self.root_complete {
@@ -531,25 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_frames_restores_base_state() {
-        let (_, p) = setup(&["((A,B),(C,D));", "((A,E),(F,G));"]);
-        let state = SearchState::new(&p, 0, &TaxonOrderRule::Dynamic).unwrap();
-        let fp = state.agile.arena_fingerprint();
-        let mut ex = Explorer::new_root(state);
-        let mut sink = CountOnly;
-        for _ in 0..7 {
-            if ex.step(&mut sink) == StepEvent::Finished {
-                break;
-            }
-        }
-        assert!(ex.depth() >= 1);
-        ex.abort_frames();
-        assert!(ex.finished());
-        assert_eq!(ex.state().agile.arena_fingerprint(), fp);
-        assert_eq!(ex.remaining_taxa(), 3);
-    }
-
-    #[test]
     fn unsplit_restores_the_exact_branch_order() {
         let (_, p) = setup(&["((A,B),(C,D));", "((A,E),(F,G));"]);
         let state = SearchState::new(&p, 0, &TaxonOrderRule::Dynamic).unwrap();
@@ -623,8 +536,7 @@ mod tests {
             for (snap, taxon, branches) in frontier {
                 let resumed = SearchState::resume(&p, snap);
                 assert!(!branches.is_empty() || resumed.is_complete());
-                let mut rex = Explorer::new_idle(resumed);
-                rex.resume_task(taxon, branches);
+                let mut rex = Explorer::for_task(resumed, taxon, branches);
                 let (t, s, d) = run_to_end(&mut rex);
                 trees += t;
                 states += s;
@@ -639,9 +551,26 @@ mod tests {
     }
 
     #[test]
-    fn task_replay_explores_assigned_subset_only() {
-        // Split the root frame: run the two halves as separate tasks and
-        // check the union matches the full run.
+    fn a_drained_complete_root_is_emitted_once_by_its_task() {
+        let (_, p) = setup(&["((A,B),(C,D));"]);
+        let state = SearchState::new(&p, 0, &TaxonOrderRule::Dynamic).unwrap();
+        let mut ex = Explorer::new_root(state);
+        let mut frontier = ex.drain_frontier();
+        assert_eq!(frontier.len(), 1);
+        let (snap, taxon, branches) = frontier.pop().unwrap();
+        assert!(
+            branches.is_empty(),
+            "the pending stand tree has no branches"
+        );
+        let mut task = Explorer::for_task(SearchState::resume(&p, snap), taxon, branches);
+        assert_eq!(run_to_end(&mut task), (1, 0, 0));
+    }
+
+    #[test]
+    fn tasks_explore_their_assigned_subset_only() {
+        // Split the root frame: run the two halves as separate tasks, each
+        // resumed from a snapshot of the root state, and check the union
+        // matches the full run.
         let (_, p) = setup(&["((A,B),(C,D));", "((A,E),(F,G));"]);
         let full = {
             let state = SearchState::new(&p, 0, &TaxonOrderRule::Dynamic).unwrap();
@@ -654,29 +583,21 @@ mod tests {
         let root = ex.top().unwrap().clone();
         let taken = ex.split_top().unwrap();
         let kept: Vec<EdgeId> = root.branches[taken.len()..].to_vec();
-        let taxon = root.taxon;
-
-        // Task 1 on `taken` with a fresh explorer.
-        let s1 = SearchState::new(&p, 0, &TaxonOrderRule::Dynamic).unwrap();
-        let mut ex1 = Explorer::new_idle(s1);
-        ex1.begin_task(&[], taxon, taken);
-        let r1 = run_to_end(&mut ex1);
-        ex1.end_task();
-
-        // Task 2 on `kept`.
-        let s2 = SearchState::new(&p, 0, &TaxonOrderRule::Dynamic).unwrap();
-        let mut ex2 = Explorer::new_idle(s2);
-        ex2.begin_task(&[], taxon, kept);
-        let r2 = run_to_end(&mut ex2);
-        ex2.end_task();
-
+        let run_task = |branches| {
+            let resumed = SearchState::resume(&p, ex.state().snapshot());
+            let mut task = Explorer::for_task(resumed, root.taxon, branches);
+            assert_eq!(task.applied_depth(), 0);
+            let counts = run_to_end(&mut task);
+            assert!(task.finished());
+            assert_eq!(task.remaining_taxa(), 3, "back at the task's start state");
+            counts
+        };
+        let r1 = run_task(taken);
+        let r2 = run_task(kept);
         assert_eq!(
             (r1.0 + r2.0, r1.1 + r2.1, r1.2 + r2.2),
             full,
             "task union must equal the full exploration"
         );
-        // After end_task the explorer is reusable at I_0.
-        assert!(ex1.finished());
-        assert_eq!(ex1.remaining_taxa(), 3);
     }
 }

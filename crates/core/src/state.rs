@@ -84,8 +84,7 @@ impl StateSnapshot {
         }
     }
 
-    /// Number of taxa already inserted beyond nothing — used only for
-    /// diagnostics (`snapshot_depth` in task spans).
+    /// Number of taxa still missing from the snapshot's agile tree.
     pub fn remaining_count(&self) -> usize {
         self.remaining.len()
     }

@@ -1,15 +1,17 @@
-//! Snapshot-handoff equivalence: the property the parallel engine's
-//! replay-free task model rests on, tested directly at the Explorer level.
+//! Snapshot-handoff conservation: the property the parallel engine's task
+//! model rests on, tested directly at the Explorer level against the
+//! serial oracle.
 //!
-//! A stolen task used to carry a `(taxon, edge)` replay path; it now
-//! carries an owned [`StateSnapshot`] that the thief resumes in O(depth)
-//! instead of replaying in O(depth × kernel). This property test pins the
-//! two mechanisms together: at randomly chosen depths of randomly built
+//! A stolen task carries an owned [`StateSnapshot`] of the donor's state
+//! plus the stolen half of its top frame; the thief resumes the snapshot
+//! without replaying any insertion. At random points of random
 //! explorations — whose prefixes interleave containing and non-containing
-//! inserts, completions and dead ends arbitrarily — handing the same
-//! stolen half-frame to a path-replaying thief and to a snapshot-resuming
-//! thief must be observationally identical (counters, stand sets) under
-//! both mapping engines.
+//! inserts, completions and dead ends arbitrarily — splitting work off
+//! into snapshot-resumed thieves, including thieves robbed in turn, must
+//! conserve the undisturbed run exactly: the same counters and the same
+//! stand multiset, under both mapping engines.
+//!
+//! [`StateSnapshot`]: gentrius_core::state::StateSnapshot
 
 use gentrius_core::config::{MappingMode, TaxonOrderRule};
 use gentrius_core::explore::{Explorer, StepEvent};
@@ -61,20 +63,36 @@ fn fresh_state<'p>(problem: &'p StandProblem, mode: MappingMode) -> SearchState<
     s
 }
 
-fn drain(ex: &mut Explorer<'_>, sink: &mut CollectNewick<'_>) -> (u64, u64, u64) {
-    let (mut t, mut s, mut d) = (0, 0, 0);
-    loop {
-        match ex.step(sink) {
-            StepEvent::Entered => s += 1,
-            StepEvent::StandTree => t += 1,
-            StepEvent::DeadEnd => {
-                s += 1;
-                d += 1;
-            }
-            StepEvent::Backtracked => {}
-            StepEvent::Finished => return (t, s, d),
+type Work = (u64, u64, u64);
+
+/// Counts one event into `(trees, states, dead ends)`; false on `Finished`.
+fn count(ev: StepEvent, work: &mut Work) -> bool {
+    match ev {
+        StepEvent::Entered => work.1 += 1,
+        StepEvent::StandTree => work.0 += 1,
+        StepEvent::DeadEnd => {
+            work.1 += 1;
+            work.2 += 1;
         }
+        StepEvent::Backtracked => {}
+        StepEvent::Finished => return false,
     }
+    true
+}
+
+fn drain(ex: &mut Explorer<'_>, sink: &mut CollectNewick<'_>) -> Work {
+    let mut work = (0, 0, 0);
+    while count(ex.step(sink), &mut work) {}
+    work
+}
+
+/// One explorer of a split run: the donor or a thief.
+struct Part<'p> {
+    ex: Explorer<'p>,
+    sink: CollectNewick<'p>,
+    work: Work,
+    /// Insertions between the root state and this explorer's start state.
+    depth: usize,
 }
 
 const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexed];
@@ -82,70 +100,73 @@ const MODES: [MappingMode; 2] = [MappingMode::Recompute, MappingMode::EdgeIndexe
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// At up to three split points of one random trajectory per mode, the
-    /// same stolen half-frame drained by a path-replaying thief and by a
-    /// snapshot-resuming thief must produce identical counters and stand
-    /// sets.
+    /// Up to three split points per mode: the first robs the donor, the
+    /// second the newest thief (a nested steal), the third a random part.
+    /// Each split resumes a snapshot of the robbed part's state over the
+    /// stolen half-frame. The parts' work must sum to the undisturbed
+    /// run's counters, and their stand trees to its stand multiset.
     #[test]
-    fn snapshot_resume_is_observationally_identical_to_path_replay(seed in 0u64..u64::MAX) {
+    fn snapshot_splits_conserve_the_serial_run(seed in 0u64..u64::MAX) {
         for mode in MODES {
             let (taxa, problem) = random_problem(seed);
+            let mut reference = Explorer::new_root(fresh_state(&problem, mode));
+            let mut ref_sink = CollectNewick::with_cap(&taxa, CAP);
+            let full = drain(&mut reference, &mut ref_sink);
+            let root_remaining = problem.num_taxa() - problem.constraints()[0].taxa().count();
+
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5157);
-            let mut donor = Explorer::new_root(fresh_state(&problem, mode));
-            let mut donor_sink = CollectNewick::with_cap(&taxa, CAP);
-            let mut compared = 0usize;
-            while !donor.finished() && compared < 3 {
-                // Walk a random stretch: the prefix below any split point is
-                // an arbitrary interleaving of inserts (containing and
-                // non-containing alike), completions and dead ends.
+            let mut parts = vec![Part {
+                ex: Explorer::new_root(fresh_state(&problem, mode)),
+                sink: CollectNewick::with_cap(&taxa, CAP),
+                work: (0, 0, 0),
+                depth: 0,
+            }];
+            for split in 0..3 {
+                let victim = match split {
+                    0 => 0,
+                    1 => parts.len() - 1,
+                    _ => rng.gen_range(0..parts.len()),
+                };
+                let v = &mut parts[victim];
+                // Walk a random stretch, so the state below the split point
+                // is an arbitrary interleaving of the explorer's events.
                 for _ in 0..rng.gen_range(1..25) {
-                    if donor.step(&mut donor_sink) == StepEvent::Finished {
+                    if !count(v.ex.step(&mut v.sink), &mut v.work) {
                         break;
                     }
                 }
-                if donor.finished() {
-                    break;
-                }
-                let Some(stolen) = donor.split_top() else {
-                    continue; // top frame not splittable at this depth
+                let Some(stolen) = v.ex.split_top() else {
+                    continue; // finished, or top frame not splittable here
                 };
-                let path = donor.path_from_base();
-                let taxon = donor.top().expect("busy donor has a top frame").taxon;
-
-                // Thief A — the old mechanism: fresh root state, replay the
-                // recorded path, work the stolen half.
-                let mut replayer = Explorer::new_idle(fresh_state(&problem, mode));
-                replayer.begin_task(&path, taxon, stolen.clone());
-                prop_assert_eq!(replayer.applied_depth(), path.len());
-                let mut replay_sink = CollectNewick::with_cap(&taxa, CAP);
-                let replay_work = drain(&mut replayer, &mut replay_sink);
-                replayer.end_task();
-
-                // Thief B — the new mechanism: resume an owned snapshot of
-                // the donor's state, no replay.
-                let snap = donor.state().snapshot();
+                let taxon = v.ex.top().expect("a split leaves a frame").taxon;
+                let depth = v.depth + v.ex.applied_depth();
+                let snap = v.ex.state().snapshot();
                 prop_assert_eq!(
-                    snap.remaining_count() + donor.applied_depth(),
-                    problem.num_taxa() - problem.constraints()[0].taxa().count(),
-                    "snapshot remaining-taxa accounting broken"
+                    snap.remaining_count() + depth,
+                    root_remaining,
+                    "snapshot depth accounting broken"
                 );
-                let mut resumer = Explorer::new_idle(SearchState::resume(&problem, snap));
-                resumer.resume_task(taxon, stolen);
-                let mut resume_sink = CollectNewick::with_cap(&taxa, CAP);
-                let resume_work = drain(&mut resumer, &mut resume_sink);
-
-                prop_assert_eq!(
-                    resume_work, replay_work,
-                    "mode {:?} depth {}: counters diverged", mode, path.len()
-                );
-                replay_sink.out.sort();
-                resume_sink.out.sort();
-                prop_assert_eq!(
-                    resume_sink.out, replay_sink.out,
-                    "mode {:?} depth {}: stand sets diverged", mode, path.len()
-                );
-                compared += 1;
+                parts.push(Part {
+                    ex: Explorer::for_task(SearchState::resume(&problem, snap), taxon, stolen),
+                    sink: CollectNewick::with_cap(&taxa, CAP),
+                    work: (0, 0, 0),
+                    depth,
+                });
             }
+
+            let mut work = (0, 0, 0);
+            let mut stand = Vec::new();
+            for mut part in parts {
+                let rest = drain(&mut part.ex, &mut part.sink);
+                work.0 += part.work.0 + rest.0;
+                work.1 += part.work.1 + rest.1;
+                work.2 += part.work.2 + rest.2;
+                stand.extend(part.sink.out);
+            }
+            prop_assert_eq!(work, full, "mode {:?}: counters not conserved", mode);
+            stand.sort();
+            ref_sink.out.sort();
+            prop_assert_eq!(stand, ref_sink.out, "mode {:?}: stand multiset changed", mode);
         }
     }
 
@@ -170,8 +191,7 @@ proptest! {
                 continue; // root state already complete (single-tree stand)
             };
             let (taxon, branches) = (top.taxon, top.branches.clone());
-            let mut resumer = Explorer::new_idle(SearchState::resume(&problem, snap));
-            resumer.resume_task(taxon, branches);
+            let mut resumer = Explorer::for_task(SearchState::resume(&problem, snap), taxon, branches);
             let mut resume_sink = CollectNewick::with_cap(&taxa, CAP);
             let work = drain(&mut resumer, &mut resume_sink);
             prop_assert_eq!(work, full, "mode {:?}: depth-0 counters diverged", mode);

@@ -87,8 +87,8 @@ pub struct TaskSpan {
     /// Seconds from engine start when the worker went idle again.
     pub end: f64,
     /// Insertions between `I_0` and the task's snapshot state (steal depth
-    /// diagnostics; 0 for the initial-split chunks). Replaces the old
-    /// replayed-path length, which is always 0 under snapshot handoff.
+    /// diagnostics; 0 for the initial-split chunks): the length of the
+    /// path the paper's thief would replay.
     pub snapshot_depth: usize,
 }
 
@@ -427,13 +427,12 @@ where
             let split_frame = prefix_ex.top().expect("I_0 has a frame");
             let split_taxon = split_frame.taxon;
             let split_branches: Vec<EdgeId> = split_frame.branches[split_frame.cursor..].to_vec();
-            // One snapshot of the I_0 state serves every chunk; workers
-            // resume it directly instead of replaying the prefix path per
-            // task. Every frame below the top is exhausted (the phase-1
-            // loop breaks the moment a frame has ≥2 pending), so the
-            // snapshot + split branches cover the remaining search space
-            // exactly.
-            let split_depth = prefix_ex.applied_depth();
+            // One snapshot of the I_0 state serves every chunk, at depth 0;
+            // workers resume it directly instead of replaying the prefix
+            // path per task. Every frame below the top is exhausted (the
+            // phase-1 loop breaks the moment a frame has ≥2 pending), so
+            // the snapshot + split branches cover the remaining search
+            // space exactly.
             let split_snapshot = prefix_ex.state().snapshot();
             drop(prefix_ex);
 
@@ -444,12 +443,7 @@ where
             // down, workers see `done` and exit without touching the
             // injected tasks.)
             for branches in chunks {
-                pool.inject(Task::new(
-                    split_snapshot.clone(),
-                    split_taxon,
-                    branches,
-                    split_depth,
-                ));
+                pool.inject(Task::new(split_snapshot.clone(), split_taxon, branches, 0));
             }
             drop(split_snapshot);
             prefix_stats
@@ -630,18 +624,11 @@ fn worker_loop<S: StandSink>(
         tasks_executed += 1;
         let span_start = pcfg.trace.then(|| started.elapsed().as_secs_f64());
         let snapshot_depth = task.depth;
+        // A task with no branches is a paused epoch's root-complete
+        // marker: its snapshot is a stand tree captured before being
+        // emitted, and `for_task` emits it exactly once.
         let state = SearchState::resume(problem, task.snapshot);
-        let mut ex = if task.branches.is_empty() {
-            // The synthetic complete-state descriptor (a paused epoch's
-            // root-complete marker): the snapshot *is* a stand tree that
-            // was captured before being emitted. `new_root` re-arms the
-            // root-complete path so the next step emits it exactly once.
-            Explorer::new_root(state)
-        } else {
-            let mut ex = Explorer::new_idle(state);
-            ex.resume_task(task.taxon, task.branches);
-            ex
-        };
+        let mut ex = Explorer::for_task(state, task.taxon, task.branches);
         // The received frame itself may be splittable (Fig. 2b's group
         // separation happens via the scheduler).
         maybe_submit(

@@ -2,13 +2,14 @@
 //!
 //! The paper describes a task as a *path* from the initial-split state
 //! `I_0` to a desired intermediate state `I_c`, which the receiving thread
-//! replays through the mapping kernels. With the PR 5 edge-indexed kernels
-//! per-state work became so cheap that replaying `O(depth)` insertions per
-//! steal dominated; tasks now carry a [`StateSnapshot`] instead — an owned
-//! copy of the agile tree, the remaining taxa and the *live* projection
-//! state — so a thief resumes in one `O(state)` move with zero kernel
-//! work. The snapshot clone is paid once, by the splitter, at publish
-//! time.
+//! replays through the mapping kernels. With the edge-indexed kernels
+//! per-state work is so cheap that replaying `O(depth)` insertions per
+//! steal would dominate, so a task carries a [`StateSnapshot`] instead — an
+//! owned copy of the agile tree, the remaining taxa and the *live*
+//! projection state — and a thief resumes it in one `O(state)` move with
+//! zero kernel work. The snapshot clone is paid once, by the splitter, at
+//! publish time. [`Task`] is the only task type: the engine, `.standckpt`
+//! checkpoints and the simulator all use it.
 
 use gentrius_core::state::StateSnapshot;
 use phylo::taxa::TaxonId;

@@ -14,7 +14,9 @@ pub struct CostModel {
     pub step: u64,
     /// Replaying one insertion of a task path (paper §III-A: reaching
     /// another thread's state is a sequence of insertions processed at
-    /// state-processing speed).
+    /// state-processing speed). Charged once per insertion of a picked-up
+    /// task's depth past `I_0`; the replay is modelled, not executed — the
+    /// simulated worker resumes the task's snapshot.
     pub replay_per_insertion: u64,
     /// Fixed overhead to dequeue a task and wake up (condvar latency,
     /// queue locking).

@@ -8,8 +8,9 @@
 //! global injector, per-worker steal deques (LIFO for the owner, FIFO for
 //! thieves) bounded by the per-deque capacity (`N_t+1` / `N_t/2`),
 //! randomized victim selection (seeded via [`SimConfig::victim_seed`]),
-//! the ≥3-remaining-taxa submission rule, path-replay costs, batched
-//! counter flushes, and stopping rules evaluated in virtual-time order.
+//! the ≥3-remaining-taxa submission rule, snapshot-resumed tasks charged
+//! the paper's path-replay cost, batched counter flushes, and stopping
+//! rules evaluated in virtual-time order.
 //! Every speedup phenomenon reported in §IV — linear scaling, plateaus
 //! from unbalanced workflow trees, super-linear speedups from
 //! stopping-rule interaction, adapted speedups under the time limit — is a
@@ -25,23 +26,9 @@ use gentrius_core::sink::CountOnly;
 use gentrius_core::state::SearchState;
 use gentrius_core::stats::RunStats;
 use gentrius_parallel::counters::FlushThresholds;
-use gentrius_parallel::task::{paper_queue_capacity, partition_branches};
+use gentrius_parallel::task::{paper_queue_capacity, partition_branches, Task};
 use phylo::ops::compatible;
-use phylo::taxa::TaxonId;
-use phylo::tree::EdgeId;
 use std::collections::VecDeque;
-
-/// The paper's path-replay task structure. The real engine moved to
-/// snapshot handoff (`gentrius_parallel::task::Task` now carries a
-/// resumable state), but the simulator keeps the paper's model: its cost
-/// accounting charges `CostModel::replay_per_insertion` per path entry,
-/// which is exactly the §IV phenomenon being simulated.
-#[derive(Clone, Debug)]
-struct SimTask {
-    path: Vec<(TaxonId, EdgeId)>,
-    taxon: TaxonId,
-    branches: Vec<EdgeId>,
-}
 
 /// Virtual-machine configuration for one simulation.
 #[derive(Clone, Debug)]
@@ -188,8 +175,10 @@ impl Counters {
 }
 
 struct Worker<'p> {
-    ex: Explorer<'p>,
-    idle: bool,
+    /// The task being explored; `None` while idle.
+    ex: Option<Explorer<'p>>,
+    /// Depth of the current task's snapshot past `I_0`.
+    task_depth: usize,
     cooldown: u64,
     busy: u64,
     pending: RunStats,
@@ -208,8 +197,10 @@ pub fn simulate(
 ) -> Result<SimResult, ProblemError> {
     assert!(sim.threads >= 1);
     let initial = problem.initial_tree_index(&config.initial_tree)?;
-    // Surface order-rule problems before building any worker state.
-    SearchState::new(problem, initial, &config.taxon_order).map_err(ProblemError::BadTaxonOrder)?;
+    // The root state; building it surfaces order-rule problems.
+    let mut root = SearchState::new(problem, initial, &config.taxon_order)
+        .map_err(ProblemError::BadTaxonOrder)?;
+    root.enable_mapping(config.mapping);
     let cost = sim.cost;
     let mut counters = Counters {
         global: RunStats::new(),
@@ -234,16 +225,9 @@ pub fn simulate(
         });
     }
 
-    let new_state = || {
-        let mut s = SearchState::new(problem, initial, &config.taxon_order)
-            .expect("validated problem must build a state");
-        s.enable_mapping(config.mapping);
-        s
-    };
-
     // ---------------- Phase 1: serial prefix ----------------
     let mut sink = CountOnly;
-    let mut prefix_ex = Explorer::new_root(new_state());
+    let mut prefix_ex = Explorer::new_root(root);
     let mut prefix_pending = RunStats::new();
     let mut prefix_ticks: u64 = 0;
     loop {
@@ -290,13 +274,13 @@ pub fn simulate(
     }
 
     // ---------------- Phase 2: initial split ----------------
+    // Every chunk resumes one snapshot of `I_0`, at depth 0.
     let frame = prefix_ex.top().expect("I_0 frame");
     let split_taxon = frame.taxon;
     let split_branches: Vec<_> = frame.branches[frame.cursor..].to_vec();
-    let prefix_path = prefix_ex.path_from_base();
+    let split_snapshot = prefix_ex.state().snapshot();
     drop(prefix_ex);
 
-    let chunks = partition_branches(&split_branches, sim.threads);
     let stealing = sim.stealing && sim.threads > 1;
     let capacity = sim.capacity();
     // The two-level scheduler model, mirroring `gentrius-parallel`:
@@ -304,21 +288,14 @@ pub fn simulate(
     // the submitting worker's own deque (owner end = back, steal end =
     // front); idle workers pop their own deque LIFO, then steal FIFO from
     // a randomized victim, then fall back to the injector.
-    let mut injector: VecDeque<(SimTask, usize)> = chunks
-        .iter()
-        .enumerate()
-        .map(|(i, chunk)| {
-            (
-                SimTask {
-                    path: Vec::new(),
-                    taxon: split_taxon,
-                    branches: chunk.clone(),
-                },
-                i,
-            )
-        })
+    let mut injector: VecDeque<(Task, usize)> = partition_branches(&split_branches, sim.threads)
+        .into_iter()
+        .map(|branches| Task::new(split_snapshot.clone(), split_taxon, branches, 0))
+        .zip(0..)
         .collect();
-    let mut deques: Vec<VecDeque<(SimTask, usize)>> =
+    drop(split_snapshot);
+    let n_chunks = injector.len();
+    let mut deques: Vec<VecDeque<(Task, usize)>> =
         (0..sim.threads).map(|_| VecDeque::new()).collect();
     let mut victim_rng: Vec<u64> = (0..sim.threads)
         .map(|w| splitmix64(sim.victim_seed ^ (w as u64 + 1)) | 1)
@@ -326,26 +303,17 @@ pub fn simulate(
     let mut steals = vec![0u64; sim.threads];
 
     let mut workers: Vec<Worker<'_>> = (0..sim.threads)
-        .map(|_| {
-            let mut s = new_state();
-            for &(t, e) in &prefix_path {
-                // Anchor insertions stay applied for the worker lifetime;
-                // the undo record is intentionally discarded.
-                let _ = s.apply(t, e);
-            }
-            Worker {
-                ex: Explorer::new_idle(s),
-                idle: true,
-                cooldown: 0,
-                busy: 0,
-                pending: RunStats::new(),
-                seg_start: None,
-            }
+        .map(|_| Worker {
+            ex: None,
+            task_depth: 0,
+            cooldown: 0,
+            busy: 0,
+            pending: RunStats::new(),
+            seg_start: None,
         })
         .collect();
     let mut tasks_stolen = 0usize;
     let mut timeline = sim.trace.then(|| Timeline::new(sim.threads));
-    let n_chunks = chunks.len();
 
     // ---------------- Phase 3: lock-step execution ----------------
     let mut tick = prefix_ticks;
@@ -353,7 +321,7 @@ pub fn simulate(
         if counters.stop.is_some() {
             break;
         }
-        if workers.iter().all(|w| w.idle)
+        if workers.iter().all(|w| w.ex.is_none())
             && injector.is_empty()
             && deques.iter().all(VecDeque::is_empty)
         {
@@ -369,7 +337,7 @@ pub fn simulate(
         for wi in 0..workers.len() {
             let w = &mut workers[wi];
             let period = sim.period(wi);
-            if w.idle {
+            let Some(ex) = w.ex.as_mut() else {
                 // Acquisition order of `TaskPool::next_task`: own deque
                 // (LIFO), randomized-victim steal (FIFO), injector.
                 let mut grabbed = deques[wi].pop_back();
@@ -391,15 +359,18 @@ pub fn simulate(
                     grabbed = injector.pop_front();
                 }
                 if let Some((task, task_id)) = grabbed {
+                    // The engine resumes the snapshot; the paper's thief
+                    // replays the path from `I_0`, which this model charges.
                     w.cooldown = (cost.task_overhead
-                        + cost.replay_per_insertion * task.path.len() as u64)
+                        + cost.replay_per_insertion * task.depth as u64)
                         * period;
-                    w.ex.begin_task(&task.path, task.taxon, task.branches);
-                    w.idle = false;
+                    w.task_depth = task.depth;
+                    let state = SearchState::resume(problem, task.snapshot);
+                    w.ex = Some(Explorer::for_task(state, task.taxon, task.branches));
                     w.seg_start = Some((tick, task_id));
                 }
                 continue;
-            }
+            };
             w.busy += 1;
             if w.cooldown > 0 {
                 w.cooldown -= 1;
@@ -408,46 +379,44 @@ pub fn simulate(
             if counters.stop.is_some() {
                 continue;
             }
-            let ev = w.ex.step(&mut sink);
-            match ev {
-                StepEvent::Finished => {
-                    w.ex.end_task();
-                    w.idle = true;
-                    counters.flush(&mut w.pending);
-                    if let (Some(tl), Some((start, id))) = (&mut timeline, w.seg_start.take()) {
-                        tl.workers[wi].push(Segment {
-                            start,
-                            end: tick + 1,
-                            task: id,
-                        });
-                    }
-                    continue;
+            let ev = ex.step(&mut sink);
+            if ev == StepEvent::Finished {
+                w.ex = None;
+                counters.flush(&mut w.pending);
+                if let (Some(tl), Some((start, id))) = (&mut timeline, w.seg_start.take()) {
+                    tl.workers[wi].push(Segment {
+                        start,
+                        end: tick + 1,
+                        task: id,
+                    });
                 }
-                _ => {
-                    let mut extra = 0u64;
-                    record(
-                        ev,
-                        &mut w.pending,
-                        &sim.flush,
-                        &mut counters,
-                        &mut extra,
-                        cost,
-                    );
-                    w.cooldown += extra + (cost.step * period - 1);
-                }
+                continue;
             }
+            let mut extra = 0u64;
+            record(
+                ev,
+                &mut w.pending,
+                &sim.flush,
+                &mut counters,
+                &mut extra,
+                cost,
+            );
+            w.cooldown += extra + (cost.step * period - 1);
             if ev == StepEvent::Entered
                 && stealing
                 && deques[wi].len() < capacity
-                && w.ex.remaining_taxa() >= sim.min_remaining_for_split
-                && w.ex.top().map(|f| f.pending()).unwrap_or(0) >= 2
+                && ex.remaining_taxa() >= sim.min_remaining_for_split
+                && ex.top().map(|f| f.pending()).unwrap_or(0) >= 2
             {
-                if let Some(branches) = w.ex.split_top() {
-                    let task = SimTask {
-                        path: w.ex.path_from_base(),
-                        taxon: w.ex.top().expect("frame after split").taxon,
+                if let Some(branches) = ex.split_top() {
+                    // Published exactly as `maybe_submit` does in the
+                    // engine.
+                    let task = Task::new(
+                        ex.state().snapshot(),
+                        ex.top().expect("frame after split").taxon,
                         branches,
-                    };
+                        w.task_depth + ex.applied_depth(),
+                    );
                     deques[wi].push_back((task, n_chunks + tasks_stolen));
                     tasks_stolen += 1;
                     w.cooldown += cost.submit_overhead;
@@ -457,12 +426,8 @@ pub fn simulate(
         tick += 1;
     }
 
-    // Unwind any interrupted workers and flush everything.
+    // Interrupted tasks are simply dropped; flush everything.
     for (wi, w) in workers.iter_mut().enumerate() {
-        if !w.idle {
-            w.ex.abort_frames();
-            w.ex.end_task();
-        }
         counters.flush(&mut w.pending);
         if let (Some(tl), Some((start, id))) = (&mut timeline, w.seg_start.take()) {
             tl.workers[wi].push(Segment {

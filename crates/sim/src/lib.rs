@@ -10,11 +10,14 @@
 //! *scheduler policy applied to the workflow tree*, not of the silicon.
 //!
 //! This crate therefore re-runs the exact policy of `gentrius-parallel`
-//! (initial split, bounded queue, path-replay stealing, batched counter
-//! flushes, stopping rules) as a deterministic lock-step discrete-event
-//! simulation where one *tick* = one state transition on one logical core,
-//! and reports virtual makespans from which speedups at any thread count
-//! are computed — bit-for-bit reproducibly.
+//! (initial split, bounded queue, work stealing of the engine's own
+//! snapshot `Task`s, batched counter flushes, stopping rules) as a
+//! deterministic lock-step discrete-event simulation where one *tick* =
+//! one state transition on one logical core, and reports virtual makespans
+//! from which speedups at any thread count are computed — bit-for-bit
+//! reproducibly. A picked-up task is charged the paper's path replay in
+//! ticks (`CostModel::replay_per_insertion` per insertion of its depth);
+//! replay is modelled, not executed.
 //!
 //! ```
 //! use gentrius_core::{GentriusConfig, StandProblem};

@@ -83,7 +83,7 @@ pub struct CkptTask {
     pub taxon: u32,
     /// The pending admissible branches (arena edge ids).
     pub branches: Vec<u32>,
-    /// Search depth of the descriptor (scheduler heuristics only).
+    /// Insertions between `I_0` and the task's state (diagnostics only).
     pub depth: u64,
     /// Taxa not yet inserted, in selection order.
     pub remaining: Vec<u32>,

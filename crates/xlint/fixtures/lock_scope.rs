@@ -23,6 +23,12 @@ pub fn bad_kernel(m: &Mutex<u32>, frames: &mut Frames) {
     drop(g);
 }
 
+pub fn bad_task_setup(m: &Mutex<u32>, task: Task) {
+    let g = m.lock().unwrap();
+    let _ex = Explorer::for_task(task.state, task.taxon, task.branches); // FINDING
+    drop(g);
+}
+
 pub fn good_drop_first(m: &Mutex<u32>, frames: &mut Frames) {
     let g = m.lock().unwrap();
     let _v = *g;

@@ -128,7 +128,7 @@ pub const RULES: &[Rule] = &[
         name: "lock-scope",
         desc: "no MutexGuard held across park(), a Condvar wait that does not \
                consume the guard, or a call into the explore kernels \
-               (begin_task/resume_task/step/…) — lock-ordering deadlock bait",
+               (for_task/step/split_top/…) — lock-ordering deadlock bait",
         scope: &["crates/parallel/src"],
         exempt: &[],
         check: check_lock_scope,
@@ -480,19 +480,18 @@ fn check_atomic_ordering(fa: &FileAnalysis, out: &mut Vec<Finding>) {
 // L6: lock-scope discipline.
 // ---------------------------------------------------------------------------
 
-/// The explore kernels: entry points into `core::explore` that can run for
-/// an unbounded number of search steps. A held `MutexGuard` across any of
-/// these serializes the scheduler (and is deadlock bait against the pool's
-/// own park lock).
+/// The explore kernels: the `core::explore::Explorer` entry points that
+/// run or set up search work — its two constructors and the methods that
+/// step, split or drain a frame stack. Matched as method and path calls
+/// alike (`ex.step(…)`, `Explorer::for_task(…)`). A held `MutexGuard`
+/// across any of these serializes the scheduler (and is deadlock bait
+/// against the pool's own park lock).
 const EXPLORE_KERNELS: &[&str] = &[
-    "begin_task",
-    "resume_task",
-    "end_task",
+    "new_root",
+    "for_task",
     "step",
     "split_top",
-    "abort_frames",
-    "new_root",
-    "new_idle",
+    "drain_frontier",
 ];
 
 /// `let [mut] NAME = … .lock() … ;` — returns the guard's binding name.
@@ -606,7 +605,7 @@ fn check_lock_scope(fa: &FileAnalysis, out: &mut Vec<Finding>) {
                      waiting on a different condvar while holding the lock",
                     c2.name, call.line
                 ))
-            } else if c2.method && EXPLORE_KERNELS.contains(&c2.name.as_str()) {
+            } else if EXPLORE_KERNELS.contains(&c2.name.as_str()) {
                 Some(format!(
                     "call into explore kernel `{}` while `MutexGuard` `{guard}` \
                      (locked line {}) is live — unbounded work under a lock",

@@ -137,8 +137,8 @@ fn atomic_ordering_mismatches_and_asymmetry_fire_exactly() {
 fn lock_scope_flags_park_wait_and_kernels() {
     let src = include_str!("../fixtures/lock_scope.rs");
     let f = check_file("crates/parallel/src/fixture.rs", src);
-    assert_eq!(count(&f, "lock-scope"), 3, "findings: {f:#?}");
-    assert_eq!(f.len(), 3);
+    assert_eq!(count(&f, "lock-scope"), 4, "findings: {f:#?}");
+    assert_eq!(f.len(), 4);
     assert!(f.iter().any(|x| x.message.contains("`park()`")));
     assert!(f
         .iter()
@@ -146,6 +146,9 @@ fn lock_scope_flags_park_wait_and_kernels() {
     assert!(f
         .iter()
         .any(|x| x.message.contains("explore kernel `step`")));
+    assert!(f
+        .iter()
+        .any(|x| x.message.contains("explore kernel `for_task`")));
 }
 
 #[test]
