@@ -2,9 +2,9 @@
 //!
 //! Covers the operations that dominate a Gentrius run: the tree edit pair
 //! (insert/undo), the attachment projection (the mapping kernel the paper
-//! profiles at 15–30% of runtime), restriction, Newick round-trips, and
-//! end-to-end serial state throughput (the paper's "hundreds of thousands
-//! of states per second").
+//! profiles at 15–30% of runtime), restriction, Newick and phylo2vec
+//! round-trips, and end-to-end serial state throughput (the paper's
+//! "hundreds of thousands of states per second").
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gentrius_core::mapping::attachment_map;
@@ -17,6 +17,7 @@ use phylo::bitset::BitSet;
 use phylo::generate::{random_tree, random_tree_on_n, ShapeModel};
 use phylo::newick::{parse_newick, to_newick};
 use phylo::ops::restrict;
+use phylo::phylo2vec::Encoder;
 use phylo::taxa::{TaxonId, TaxonSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -75,6 +76,18 @@ fn bench_newick(c: &mut Criterion) {
     });
     c.bench_function("newick/parse_200_taxa", |b| {
         b.iter(|| black_box(parse_newick(black_box(&s), &taxa).expect("parses")))
+    });
+}
+
+fn bench_phylo2vec(c: &mut Criterion) {
+    let tree = tree_200();
+    let mut enc = Encoder::new();
+    let tv = enc.encode(&tree).expect("binary tree encodes");
+    c.bench_function("p2v/encode_200_taxa", |b| {
+        b.iter(|| black_box(enc.encode(black_box(&tree)).expect("encodes")))
+    });
+    c.bench_function("p2v/decode_200_taxa", |b| {
+        b.iter(|| black_box(tv.decode(tree.universe()).expect("decodes")))
     });
 }
 
@@ -174,6 +187,7 @@ criterion_group!(
     bench_attachment_map,
     bench_restrict,
     bench_newick,
+    bench_phylo2vec,
     bench_state_throughput,
     bench_parallel_primitives,
     bench_superb,

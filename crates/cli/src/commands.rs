@@ -1,5 +1,7 @@
-//! Subcommand implementations. Everything returns its output as a string
-//! (plus optional file side effects) so the logic is directly testable.
+//! Subcommand implementations. Every command but `stand cat` returns its
+//! output as a string (plus optional file side effects) so the logic is
+//! directly testable; [`run`] writes it to any `Write`, and `stand cat`
+//! streams into that writer directly.
 
 use crate::args::ParsedArgs;
 use gentrius_core::state::StateSnapshot;
@@ -162,17 +164,19 @@ const VALUE_FLAGS: &[&str] = &[
     "trees",
 ];
 
-/// Dispatches a full command line (without the program name).
-pub fn run(args: &[String]) -> Result<String, CliError> {
+/// Dispatches a full command line (without the program name), writing its
+/// output to `out`. `stand cat` streams line by line, so its memory stays
+/// at one decoded block however large the stand is; the other commands
+/// write their finished output. A reader that hangs up (`gentrius stand
+/// cat X.stand | head -1`) ends the output early and is not an error.
+pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let parsed =
         ParsedArgs::parse(args, BOOL_FLAGS, VALUE_FLAGS).map_err(|e| CliError(e.to_string()))?;
-    if parsed.has("help") {
-        return Ok(USAGE.to_string());
-    }
-    match parsed.positional.first().map(|s| s.as_str()) {
+    let text = match parsed.positional.first().map(|s| s.as_str()) {
+        _ if parsed.has("help") => Ok(USAGE.to_string()),
         Some("stand") => match parsed.positional.get(1).map(|s| s.as_str()) {
             Some("export") => cmd_stand_export(&parsed),
-            Some("cat") => cmd_stand_cat(&parsed),
+            Some("cat") => return cmd_stand_cat(&parsed, out),
             Some("resume") => cmd_stand_resume(&parsed),
             _ => cmd_stand(&parsed),
         },
@@ -185,6 +189,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some("score") => cmd_score(&parsed),
         Some("help") | None => Ok(USAGE.to_string()),
         Some(other) => err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
+    }?;
+    stdout_result(out.write_all(text.as_bytes()).and_then(|()| out.flush()))
+}
+
+/// Maps the result of writing command output: a reader that has hung up
+/// (a broken pipe) is a clean end of output; any other failure is real.
+fn stdout_result(r: std::io::Result<()>) -> Result<(), CliError> {
+    match r {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError(format!("stdout: {e}")))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -1064,9 +1080,10 @@ fn cmd_stand_export(a: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
-/// Pages trees out of a `.stand` container by index range without loading
-/// the whole stand (one decoded block in memory at a time).
-fn cmd_stand_cat(a: &ParsedArgs) -> Result<String, CliError> {
+/// Pages trees out of a `.stand` container by index range, streaming each
+/// Newick line to `out` as its block is decoded (one decoded block in
+/// memory at a time). Stops decoding as soon as the reader hangs up.
+fn cmd_stand_cat(a: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let Some(path) = a
         .positional
         .get(2)
@@ -1091,14 +1108,21 @@ fn cmd_stand_cat(a: &ParsedArgs) -> Result<String, CliError> {
             "{path}: --from {from} is out of range (container holds {len} trees)"
         ));
     }
-    let mut out = String::new();
-    c.for_each_newick(from, from.saturating_add(count), |_, nwk| {
-        out.push_str(nwk);
-        out.push('\n');
-        Ok(())
-    })
-    .map_err(|e| CliError(format!("{path}: {e}")))?;
-    Ok(out)
+    // A failed write stops the scan; it is kept apart from read errors so
+    // it is reported against stdout, not the container.
+    let mut write_err = None;
+    let read = c.for_each_newick(from, from.saturating_add(count), |_, nwk| {
+        writeln!(out, "{nwk}").map_err(|e| {
+            let stop = StandfileError::Io(e.kind().into());
+            write_err = Some(e);
+            stop
+        })
+    });
+    if let Some(e) = write_err {
+        return stdout_result(Err(e));
+    }
+    read.map_err(|e| CliError(format!("{path}: {e}")))?;
+    stdout_result(out.flush())
 }
 
 fn problem_run_serial<S: gentrius_core::StandSink>(
@@ -1476,7 +1500,9 @@ mod tests {
 
     fn run_strs(args: &[&str]) -> Result<String, CliError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        run(&owned)
+        let mut out = Vec::new();
+        run(&owned, &mut out)?;
+        Ok(String::from_utf8(out).expect("commands write UTF-8"))
     }
 
     fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
@@ -2058,6 +2084,68 @@ mod tests {
         let p = write_tmp("notacont.nwk", "((A,B),(C,D));\n");
         assert!(run_strs(&["stand", "cat", p.to_str().unwrap()]).is_err());
         assert!(run_strs(&["stand", "cat"]).is_err());
+    }
+
+    /// Accepts `room` bytes, then fails every write with `kind`.
+    struct FailingWriter {
+        room: usize,
+        kind: std::io::ErrorKind,
+        failed: usize,
+    }
+
+    impl std::io::Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                self.failed += 1;
+                return Err(self.kind.into());
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stand_cat_stops_quietly_when_the_reader_hangs_up() {
+        let p = write_tmp(
+            "hangup.nwk",
+            "((A,B),(C,D));\n((E,F),(G,H));\n((I,J),(K,L));\n",
+        );
+        let dir = std::env::temp_dir().join("gentrius-cli-tests");
+        let cont = dir.join("hangup.stand");
+        let cpath = cont.to_str().unwrap();
+        let args = [
+            "stand",
+            "--trees",
+            p.to_str().unwrap(),
+            "--max-trees",
+            "3000",
+        ];
+        run_strs(&[&args[..], &["--output", cpath]].concat()).unwrap();
+        let cat: Vec<String> = ["stand", "cat", cpath].map(String::from).to_vec();
+
+        // A closed pipe ends the output early and cleanly: decoding stops
+        // at the first failed write instead of running to the end.
+        let mut w = FailingWriter {
+            room: 100,
+            kind: std::io::ErrorKind::BrokenPipe,
+            failed: 0,
+        };
+        run(&cat, &mut w).expect("a broken pipe is a clean exit");
+        assert_eq!(w.failed, 1, "writes tried after the pipe closed");
+
+        // Any other write failure is reported against stdout.
+        let mut w = FailingWriter {
+            room: 100,
+            kind: std::io::ErrorKind::StorageFull,
+            failed: 0,
+        };
+        let err = run(&cat, &mut w).expect_err("a full disk is an error");
+        assert!(err.0.starts_with("stdout: "), "{err}");
     }
 
     #[test]

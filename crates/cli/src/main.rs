@@ -1,28 +1,16 @@
-use std::io::{ErrorKind, Write};
+use std::io::BufWriter;
 use std::process::ExitCode;
 
-/// Writes the command output to stdout, treating a broken pipe as a clean
-/// exit: `gentrius stand cat FILE.stand | head -1` closes our pipe after
-/// one line, and dying with an EPIPE panic (the old `print!` path) turns
-/// that everyday idiom into a spurious failure. Other I/O errors are real
-/// and keep failing loudly.
-fn emit(out: &str) -> ExitCode {
-    let stdout = std::io::stdout();
-    let mut w = stdout.lock();
-    match w.write_all(out.as_bytes()).and_then(|()| w.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: stdout: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
+/// Streams the command output through a buffered lock on stdout. A reader
+/// that hangs up (`gentrius stand cat FILE.stand | head -1`) is a clean
+/// exit, not an EPIPE panic; other I/O errors fail loudly (see
+/// `gentrius_cli::run`).
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match gentrius_cli::run(&args) {
-        Ok(out) => emit(&out),
+    let stdout = std::io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    match gentrius_cli::run(&args, &mut out) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

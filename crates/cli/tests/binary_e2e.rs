@@ -198,6 +198,38 @@ fn stand_cat_piped_into_head_exits_zero() {
     assert!(stdout.trim_end().ends_with(';'), "{stdout}");
 }
 
+/// `stand cat` streams a multi-block container to stdout line for line as
+/// `stand export` writes it to a Newick file.
+#[test]
+fn stand_cat_matches_export_across_blocks() {
+    let trees = tmp("cat-export.nwk");
+    std::fs::write(&trees, "((A,B),(C,D));\n((E,F),(G,H));\n((I,J),(K,L));\n").unwrap();
+    let cont = tmp("cat-export.stand");
+    let msg = run_ok(&[
+        "stand",
+        "--trees",
+        trees.to_str().unwrap(),
+        "--max-trees",
+        "5000",
+        "--output",
+        cont.to_str().unwrap(),
+    ]);
+    assert!(msg.contains("wrote 5000 trees"), "{msg}");
+    assert!(msg.contains("(5 blocks, .stand container)"), "{msg}");
+    let exported = tmp("cat-export.out.nwk");
+    run_ok(&[
+        "stand",
+        "export",
+        "--input",
+        cont.to_str().unwrap(),
+        "--output",
+        exported.to_str().unwrap(),
+    ]);
+    let cat = run_ok(&["stand", "cat", cont.to_str().unwrap()]);
+    assert_eq!(cat.lines().count(), 5000);
+    assert_eq!(cat, std::fs::read_to_string(&exported).unwrap());
+}
+
 /// Kill/resume across a real process boundary: SIGKILL a checkpointed
 /// run mid-flight, then `stand resume` until the checkpoint retires and
 /// compare the stitched container against an uninterrupted run's.

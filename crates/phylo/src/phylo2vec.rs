@@ -7,7 +7,10 @@
 //! order (the order [`Tree::insert_leaf_on_edge`] assigns ids on a fresh
 //! arena — a partial tree on `k` leaves has exactly the contiguous edge ids
 //! `0 .. 2k-3`). The trace is unique, so `encode ∘ decode ≡ id` on codes
-//! and `decode ∘ encode` reproduces the topology exactly.
+//! and `decode ∘ encode` reproduces the topology exactly. Both directions
+//! are linear in `n`: decoding makes `n - 2` insertions, and [`Encoder`]
+//! reads the trace back in one rooted pass, because the edge ids decoding
+//! assigns are fixed by each edge's upper node and slot.
 //!
 //! Properties the stand container relies on (per the phylo2vec paper):
 //!
@@ -21,7 +24,6 @@
 //! * the vector is trivially hashable, giving a cheap cross-shard
 //!   topology key.
 
-use crate::bitset::BitSet;
 use crate::taxa::TaxonId;
 use crate::tree::{EdgeId, NodeId, Tree};
 
@@ -161,22 +163,38 @@ pub fn decode(universe: usize, taxa: &[TaxonId], code: &[u32]) -> Result<Tree, P
     Ok(tree)
 }
 
-/// Reusable-scratch encoder: amortizes the peel/rebuild buffers across many
-/// [`Encoder::encode`] calls (the stand container encodes every emitted
-/// tree on the worker hot path).
+/// Reusable-scratch encoder: amortizes its flat per-node buffers across
+/// many [`Encoder::encode`] calls (the stand container encodes every
+/// emitted tree on the worker hot path).
+///
+/// Encoding is one linear pass over the tree rooted at the leaf of `t0`,
+/// resting on the edge ids [`decode`] assigns. Every edge's `a` endpoint
+/// is the one nearer `t0`, and inserting taxon `t_i` on edge `c` keeps id
+/// `c` on the upper half, then allocates the far half (`2i-3`) and the
+/// pendant (`2i-2`). So an edge's final id is fixed by its upper node and
+/// its slot: `0` below the root leaf, `2i-3` to the far child and `2i-2`
+/// to the pendant child of the node created by rank `i`. That node is the
+/// one whose two subtrees have minimum ranks `m < i` (far) and `i`
+/// (pendant), and `code[i-2]` is the id of the edge leaving its nearest
+/// ancestor created before rank `i` toward it.
 #[derive(Default)]
 pub struct Encoder {
-    /// Peel-phase adjacency lists indexed by node id (neighbor node ids).
-    adj: Vec<Vec<u32>>,
-    /// Attachment split recorded while peeling taxon `i` (index `i - 3`).
-    splits: Vec<BitSet>,
-    /// DFS scratch for the peel phase: `(node, parent)` pairs.
-    stack: Vec<(u32, u32)>,
-    /// Rebuild phase: taxa below each edge (away from the `t0` root leaf).
-    below: Vec<BitSet>,
-    /// Rebuild preorder buffers.
-    order: Vec<(NodeId, Option<EdgeId>)>,
-    pre_stack: Vec<(NodeId, Option<EdgeId>)>,
+    /// Rank of each present taxon in ascending taxon order, by taxon id.
+    rank_of: Vec<u32>,
+    /// Node id at each visit position; positions are a breadth-first
+    /// order from the `t0` leaf (position 0), so parents precede children.
+    node: Vec<u32>,
+    /// Visit position of each node's parent (0 for the root).
+    parent: Vec<u32>,
+    /// Minimum taxon rank in each node's subtree.
+    min: Vec<u32>,
+    /// Rank whose insertion created each internal node; 0 at leaves, so
+    /// the root leaf is smaller than every internal node.
+    rank: Vec<u32>,
+    /// Position of each internal node's nearest ancestor of smaller rank.
+    nsa: Vec<u32>,
+    /// Id of the edge leaving that ancestor toward the node.
+    up: Vec<u32>,
 }
 
 impl Encoder {
@@ -187,7 +205,6 @@ impl Encoder {
 
     /// Encodes `tree` into its canonical [`TreeVector`].
     pub fn encode(&mut self, tree: &Tree) -> Result<TreeVector, P2vError> {
-        let universe = tree.universe();
         // arith: taxon ids originate from the universe's u32-backed
         // `TaxonId`s, so the round-trip through `usize` cannot truncate.
         let taxa: Vec<TaxonId> = tree.taxa().iter().map(|t| TaxonId(t as u32)).collect();
@@ -201,131 +218,109 @@ impl Encoder {
         if !tree.is_binary_unrooted() {
             return Err(P2vError::NotBinary);
         }
+        let root = tree
+            .leaf(taxa[0])
+            .ok_or(P2vError::Internal("present taxon has no leaf"))?;
+        if self.rank_of.len() < tree.universe() {
+            self.rank_of.resize(tree.universe(), 0);
+        }
+        for (r, t) in taxa.iter().enumerate() {
+            // arith: a rank is below the taxon count, itself bounded by
+            // the u32-backed universe.
+            self.rank_of[t.index()] = r as u32;
+        }
 
-        // ------------------------------------------------------------------
-        // Peel phase: remove taxa from highest to lowest on a scratch
-        // adjacency copy. Removing leaf t_i and suppressing its neighbor
-        // leaves T|{t0..t_{i-1}}; the two merged edges become the edge t_i
-        // must be inserted on during the rebuild, identified by its split
-        // (canonical side = the one not containing t0).
-        // ------------------------------------------------------------------
-        let nb = tree.node_id_bound();
-        if self.adj.len() < nb {
-            self.adj.resize(nb, Vec::new());
-        }
-        for a in self.adj.iter_mut() {
-            a.clear();
-        }
-        for e in tree.edges() {
-            let (a, b) = tree.endpoints(e);
-            self.adj[a.index()].push(b.0);
-            self.adj[b.index()].push(a.0);
-        }
-        while self.splits.len() < n - 3 {
-            self.splits.push(BitSet::new(0));
-        }
-        for i in (3..n).rev() {
-            let leaf = tree
-                .leaf(taxa[i])
-                .ok_or(P2vError::Internal("present taxon has no leaf"))?;
-            let &[mid] = self.adj[leaf.index()].as_slice() else {
-                return Err(P2vError::Internal("peeled leaf not degree 1"));
-            };
-            self.adj[mid as usize].retain(|&v| v != leaf.0);
-            let &[x, y] = self.adj[mid as usize].as_slice() else {
-                return Err(P2vError::Internal("peeled midpoint not degree 3"));
-            };
-            // Taxa on the x-side of the merged edge (DFS avoiding mid; the
-            // peeled leaf is unreachable, so the set is over {t0..t_{i-1}}).
-            let side = &mut self.splits[i - 3];
-            if side.universe() != universe {
-                *side = BitSet::new(universe);
+        // Visit order from the root leaf, with each subtree's minimum
+        // seeded at its leaves. A binary tree on n leaves has 2n - 2
+        // nodes; more would mean a cycle.
+        let nodes = 2 * n - 2;
+        let (node, parent, min, rank) = (
+            &mut self.node,
+            &mut self.parent,
+            &mut self.min,
+            &mut self.rank,
+        );
+        node.clear();
+        parent.clear();
+        min.clear();
+        rank.clear();
+        node.push(root.0);
+        parent.push(0);
+        min.push(0);
+        rank.push(0);
+        let mut head = 0;
+        while head < node.len() {
+            let v = NodeId(node[head]);
+            let from = if head == 0 {
+                u32::MAX
             } else {
-                side.clear();
-            }
-            self.stack.clear();
-            self.stack.push((x, mid));
-            let mut contains_t0 = false;
-            while let Some((v, parent)) = self.stack.pop() {
-                if let Some(t) = tree.taxon(NodeId(v)) {
-                    side.insert(t.index());
-                    contains_t0 |= t == taxa[0];
+                node[parent[head] as usize]
+            };
+            for &e in tree.adjacent_edges(v) {
+                let w = tree.opposite(e, v);
+                if w.0 == from {
+                    continue;
                 }
-                for &w in &self.adj[v as usize] {
-                    if w != parent {
-                        self.stack.push((w, v));
-                    }
+                if node.len() == nodes {
+                    return Err(P2vError::Internal("tree has a cycle"));
                 }
+                node.push(w.0);
+                // arith: positions are below 2n - 2, and n is bounded by
+                // the u32-backed universe.
+                parent.push(head as u32);
+                min.push(tree.taxon(w).map_or(u32::MAX, |t| self.rank_of[t.index()]));
+                rank.push(0);
             }
-            if contains_t0 {
-                // Flip to the complementary side within the remaining taxa
-                // {t0..t_{i-1}} so every recorded split excludes t0.
-                let mut flipped = BitSet::new(universe);
-                for &t in taxa.iter().take(i) {
-                    if !side.contains(t.index()) {
-                        flipped.insert(t.index());
-                    }
-                }
-                *side = flipped;
-            }
-            // Suppress mid: connect x and y directly.
-            for &mut (a, b) in &mut [(x, y), (y, x)] {
-                for v in self.adj[a as usize].iter_mut() {
-                    if *v == mid {
-                        *v = b;
-                    }
-                }
-            }
-            self.adj[mid as usize].clear();
+            // arith: `head` stays below `node.len()`, at most 2n - 2.
+            head += 1;
+        }
+        if node.len() != nodes {
+            return Err(P2vError::Internal("tree is not connected"));
         }
 
-        // ------------------------------------------------------------------
-        // Rebuild phase: replay the canonical insertion order, matching each
-        // recorded split against the edges of the growing partial tree
-        // (whose ids are contiguous, so the edge id *is* the code entry).
-        // ------------------------------------------------------------------
+        // Children before parents: fold each subtree minimum into its
+        // parent. The second child to arrive fixes the parent's creation
+        // rank, the larger of the two minima. Position 1 is the root
+        // leaf's only child, and the root keeps rank 0.
+        for w in (2..nodes).rev() {
+            let (m, p) = (min[w], parent[w] as usize);
+            if min[p] == u32::MAX {
+                min[p] = m;
+            } else {
+                rank[p] = min[p].max(m);
+                min[p] = min[p].min(m);
+            }
+        }
+
+        // Parents before children: each internal node's code entry is the
+        // edge leaving its nearest smaller-rank ancestor toward it, found
+        // by jumping along the ancestors' own nearest-smaller links. A node
+        // is jumped over at most once (only its far-child path can hold a
+        // smaller rank), so the pass stays linear.
+        self.nsa.resize(nodes, 0);
+        self.up.resize(nodes, 0);
+        debug_assert!(n <= u32::MAX as usize / 2);
         let mut code = vec![0u32; n - 2];
-        let mut bt = Tree::two_leaf(universe, taxa[0], taxa[1]);
-        bt.insert_leaf_on_edge(taxa[2], EdgeId(0));
-        for i in 3..n {
-            let root = bt
-                .leaf(taxa[0])
-                .ok_or(P2vError::Internal("rebuild lost the root leaf"))?;
-            bt.preorder_into(root, &mut self.pre_stack, &mut self.order);
-            let eb = bt.edge_id_bound();
-            while self.below.len() < eb {
-                self.below.push(BitSet::new(0));
+        for w in 1..nodes {
+            let r = rank[w];
+            if r == 0 {
+                continue;
             }
-            for b in self.below.iter_mut().take(eb) {
-                if b.universe() != universe {
-                    *b = BitSet::new(universe);
-                } else {
-                    b.clear();
-                }
-            }
-            // Reverse preorder: children are processed before their parent,
-            // so each parent edge's below-set can union its children's.
-            for idx in (0..self.order.len()).rev() {
-                let (v, pe) = self.order[idx];
-                let Some(pe) = pe else { continue };
-                let mut acc = std::mem::replace(&mut self.below[pe.index()], BitSet::new(0));
-                if let Some(t) = bt.taxon(v) {
-                    acc.insert(t.index());
-                }
-                for &e in bt.adjacent_edges(v) {
-                    if e != pe {
-                        acc.union_with(&self.below[e.index()]);
-                    }
-                }
-                self.below[pe.index()] = acc;
-            }
-            let want = &self.splits[i - 3];
-            let found = bt.edges().find(|e| self.below[e.index()] == *want);
-            let Some(edge) = found else {
-                return Err(P2vError::Internal("attachment split not found"));
+            let p = parent[w] as usize;
+            let mut edge = match rank[p] {
+                0 => 0,
+                rp if min[w] == rp => 2 * rp - 2,
+                rp => 2 * rp - 3,
             };
-            code[i - 2] = edge.0;
-            bt.insert_leaf_on_edge(taxa[i], edge);
+            let mut a = p;
+            while rank[a] > r {
+                edge = self.up[a];
+                a = self.nsa[a] as usize;
+            }
+            // arith: `a` is a visit position, below 2n - 2.
+            self.nsa[w] = a as u32;
+            self.up[w] = edge;
+            code[r as usize - 2] = edge;
         }
         Ok(TreeVector { taxa, code })
     }
@@ -385,21 +380,41 @@ mod tests {
 
     #[test]
     fn code_enumerates_distinct_topologies() {
-        // The 15 codes on 5 leaves (1 * 1 * 3 * 5) are exactly the 15
-        // unrooted binary topologies: decode each, re-encode, and the code
-        // must come back unchanged (bijectivity on the code side).
-        let taxa: Vec<TaxonId> = (0..5).map(TaxonId).collect();
-        let mut seen = std::collections::HashSet::new();
-        for c1 in 0..3u32 {
-            for c2 in 0..5u32 {
-                let code = vec![0, c1, c2];
-                let tree = decode(5, &taxa, &code).unwrap();
-                let tv = Encoder::new().encode(&tree).unwrap();
-                assert_eq!(tv.code, code);
-                seen.insert(tv.code);
+        // The 1·1·3·5·…·(2n-5) in-bounds codes for n ≤ 8 (10,395 at n = 8)
+        // are exactly the unrooted binary topologies: decode each,
+        // re-encode, and the code must come back unchanged (bijectivity on
+        // the code side).
+        let mut enc = Encoder::new();
+        for n in 3..=8usize {
+            let taxa: Vec<TaxonId> = (0..n as u32).map(TaxonId).collect();
+            let mut code = vec![0u32; n - 2];
+            let mut count = 0usize;
+            loop {
+                let tree = decode(n, &taxa, &code).unwrap();
+                assert_eq!(enc.encode(&tree).unwrap().code, code);
+                count += 1;
+                // Odometer over code[j] < 2j + 1.
+                let Some(j) = (0..code.len()).rev().find(|&j| code[j] < 2 * j as u32) else {
+                    break;
+                };
+                code[j] += 1;
+                code[j + 1..].iter_mut().for_each(|c| *c = 0);
             }
+            assert_eq!(
+                count,
+                (1..2 * n - 4).step_by(2).product::<usize>(),
+                "n = {n}"
+            );
         }
-        assert_eq!(seen.len(), 15);
+    }
+
+    #[test]
+    fn multifurcating_tree_is_not_binary() {
+        for nwk in ["(A,B,C,D);", "((A,B,C),D,(E,F));"] {
+            let (_taxa, trees) = parse_forest([nwk]).unwrap();
+            assert_eq!(encode(&trees[0]), Err(P2vError::NotBinary), "{nwk}");
+            assert_eq!(Encoder::new().encode(&trees[0]), Err(P2vError::NotBinary));
+        }
     }
 
     #[test]

@@ -324,6 +324,42 @@ proptest! {
     }
 
     #[test]
+    fn phylo2vec_ignores_arena_history(
+        seed in 0u64..1_000_000,
+        n in 3usize..30,
+        churn in proptest::collection::vec(0usize..1_000, 0..12),
+    ) {
+        use phylo::generate::random_tree;
+        use phylo::newick::to_newick;
+        use phylo::phylo2vec;
+        use phylo::taxa::{TaxonId, TaxonSet};
+        use phylo::tree::EdgeId;
+        // A strict, non-contiguous subset of a larger universe: every
+        // third id, with spare ids left over for churn.
+        let universe = 3 * n + 12;
+        let ids: Vec<TaxonId> = (0..n as u32).map(|i| TaxonId(3 * i + 1)).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut tree = random_tree(universe, &ids, ShapeModel::Uniform, &mut rng);
+        // Insert spare taxa and undo half of them: freed ids stay dead in
+        // the arena, and later insertions recycle them out of order.
+        let spare = (0..universe as u32).map(TaxonId).filter(|t| !ids.contains(t));
+        let mut undo = Vec::new();
+        for (k, (&pick, t)) in churn.iter().zip(spare).enumerate() {
+            let edges: Vec<EdgeId> = tree.edges().collect();
+            undo.push(tree.insert_leaf_on_edge(t, edges[pick % edges.len()]));
+            if k % 2 == 1 {
+                let last = undo.pop().expect("just pushed");
+                tree.remove_insertion(&last);
+            }
+        }
+        let taxa = TaxonSet::with_synthetic(universe);
+        let tv = phylo2vec::encode(&tree).expect("binary tree encodes");
+        let back = tv.decode(universe).expect("own code decodes");
+        prop_assert_eq!(to_newick(&back, &taxa), to_newick(&tree, &taxa));
+        prop_assert_eq!(phylo2vec::encode(&back).expect("decoded tree encodes"), tv);
+    }
+
+    #[test]
     fn shape_stats_invariants(seed in 0u64..100_000, n in 4usize..40) {
         let tree = random_tree_on_n(n, ShapeModel::Yule, &mut ChaCha8Rng::seed_from_u64(seed));
         let s = shape_stats(&tree).expect("binary with >= 3 leaves");
