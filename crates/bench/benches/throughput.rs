@@ -309,8 +309,7 @@ fn main() {
     // which gate applied. Both instances are sized so one run takes on
     // the order of a second — long enough that thread spawn and the
     // serial prefix are noise — and measured best-of-[`SCALING_REPS`]
-    // on events/sec, under the coarse flush tuning the parallel engine
-    // ships for exactly these emission-heavy workloads.
+    // on events/sec, under coarse counter flushes.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -339,9 +338,15 @@ fn main() {
             mapping: MappingMode::EdgeIndexed,
             ..bench_config(*max_trees, *max_states)
         };
+        // 8x the paper's flush thresholds: states here are so cheap that
+        // even the paper's flush cadence shows in the profile.
         let scaling_pcfg = |threads: usize| {
             let mut p = ParallelConfig::with_threads(threads);
-            p.flush = FlushThresholds::coarse();
+            p.flush = FlushThresholds {
+                stand_trees: 1 << 13,
+                intermediate_states: 1 << 16,
+                dead_ends: 1 << 13,
+            };
             p
         };
         // Interleave the reps round-robin (serial, par1, par2, serial, …)

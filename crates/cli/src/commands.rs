@@ -6,8 +6,8 @@
 use crate::args::ParsedArgs;
 use gentrius_core::state::StateSnapshot;
 use gentrius_core::{
-    canonical_stand_set, BatchingSink, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode,
-    RunStats, StandProblem, StopCause, StoppingRules, TaxonOrderRule,
+    canonical_stand_set, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode, RunStats,
+    StandProblem, StopCause, StoppingRules, TaxonOrderRule,
 };
 use gentrius_datagen::{
     empirical_dataset, simulated_dataset, Dataset, EmpiricalParams, SimulatedParams,
@@ -64,10 +64,10 @@ USAGE:
                    [--print-trees] [--output FILE[.stand]] [--max-collect N]
                    [--metrics-json FILE] [--trace-json FILE]
                    [--no-adaptive-split] [--stop-poll-stride N]
-                   [--emit-batch N] [--coarse-flush] [--checkpoint-every SECS]
+                   [--checkpoint-every SECS]
   gentrius stand resume FILE.standckpt [--threads N] [--checkpoint-every SECS]
-                   [--emit-batch N] [--no-adaptive-split] [--stop-poll-stride N]
-                   [--coarse-flush]
+                   [--no-adaptive-split] [--stop-poll-stride N]
+                   [--metrics-json FILE] [--trace-json FILE]
   gentrius stand export --input FILE --output FILE
   gentrius stand cat FILE.stand [--from N] [--count M]
   gentrius induced --species FILE --pam FILE
@@ -94,9 +94,14 @@ access by tree index) instead of collecting Newick strings in RAM;
 --print-trees then reads the trees back from the container. 'stand
 export' converts container <-> Newick (the direction is sniffed from the
 input file's magic); 'stand cat' pages trees out of a container by index
-range. The legacy Newick collect paths keep at most --max-collect trees
-(default 10000000) in memory and report 'truncated: true' plus a warning
-when the cap drops trees.
+range. Any other output (or --print-trees alone) collects Newick strings
+in memory: at most --max-collect trees (default 10000000) at any thread
+count, with 'truncated: true' plus a warning when the cap drops trees.
+Every run goes through the work-stealing engine. At --threads 1 it
+updates the counters on every event and checks the stopping rules after
+every step, so a capped run stops exactly where the serial algorithm does;
+with more threads a count limit may be overshot by up to one counter
+batch and one stop-poll stride per thread (as in the paper).
 Checkpointing: --checkpoint-every SECS (requires --output FILE.stand)
 periodically quiesces the workers, writes the pending search frontier to
 a FILE.standckpt sidecar (atomically: tmp + rename) and keeps going; the
@@ -107,14 +112,11 @@ interval of work. Counters are cumulative across resumes; the final
 container is identical to an uninterrupted run's.
 Observability: --metrics-json writes a schema-versioned run-metrics JSON
 document; --trace-json writes a Chrome-trace-event timeline (load it in
-Perfetto or chrome://tracing). Either flag routes the run through the
-parallel engine, even with --threads 1.
-Scheduler tuning (parallel runs): --no-adaptive-split disables the
-steal-to-execute granularity controller (workers then always publish
-stealable frames); --stop-poll-stride N polls the stop flag every N
-steps instead of the default 64; --emit-batch N buffers N stand trees
-per worker before forwarding them to the collector; --coarse-flush
-raises the counter-flush thresholds for blow-up instances.
+Perfetto or chrome://tracing). Neither changes the counters or the stand.
+Scheduler tuning: --no-adaptive-split disables the steal-to-execute
+granularity controller (workers then always publish stealable frames);
+--stop-poll-stride N polls the stop flag every N steps instead of the
+default (1 at --threads 1, else 64).
 ";
 
 /// Every flag that takes no value, across all subcommands.
@@ -123,7 +125,6 @@ const BOOL_FLAGS: &[&str] = &[
     "print-trees",
     "no-steal",
     "no-adaptive-split",
-    "coarse-flush",
     "trace",
     "likelihood",
     "help",
@@ -136,7 +137,6 @@ const VALUE_FLAGS: &[&str] = &[
     "checkpoint-every",
     "count",
     "dataset",
-    "emit-batch",
     "from",
     "index",
     "initial-tree",
@@ -300,12 +300,12 @@ fn ckpt_path_for(output: &str) -> PathBuf {
     PathBuf::from(format!("{output}ckpt"))
 }
 
-/// Removes stale segment files next to `output` — `{output}.seg{i}` from
-/// the plain parallel path and `{output}.g{gen}.seg{i}` from checkpointed
-/// epochs — except the paths in `keep` (segments a checkpoint still
-/// references). A previous crashed run at a *higher* thread count leaves
-/// segments no current-run index will ever name, so a prefix sweep of the
-/// directory is the only reliable cleanup. Returns how many files went.
+/// Removes stale segment files next to `output` — `{output}.g{gen}.seg{i}`
+/// from engine epochs and `{output}.seg{i}` from older releases — except
+/// the paths in `keep` (segments a checkpoint still references). A
+/// previous crashed run at a *higher* thread count leaves segments no
+/// current-run index will ever name, so a prefix sweep of the directory
+/// is the only reliable cleanup. Returns how many files went.
 fn clean_stale_segments(output: &str, keep: &[PathBuf]) -> Result<usize, CliError> {
     let out_path = Path::new(output);
     let dir = match out_path.parent() {
@@ -349,7 +349,7 @@ fn clean_stale_segments(output: &str, keep: &[PathBuf]) -> Result<usize, CliErro
 
 /// Drop guard over in-flight segment files: any early return between
 /// segment creation and the final merge (a failed `finish`, a failed
-/// `merge_segments`) would otherwise orphan `.seg{i}` files on disk.
+/// `merge_segments`) would otherwise orphan segment files on disk.
 /// Disarm after the segments have been merged (or handed over to a
 /// checkpoint that references them).
 struct SegGuard {
@@ -499,23 +499,25 @@ struct EpochInit {
     frontier: Option<Vec<Task>>,
 }
 
-/// The checkpointed container run: repeats engine epochs, writing the
-/// pending frontier to `FILE.standckpt` every `ckpt_every` seconds, until
-/// the enumeration completes, a count limit fires, or the wall-clock
-/// budget runs out (which leaves a final checkpoint for `stand resume`).
+/// The container run: one segment per engine context (0 = the serial
+/// prefix, 1.. = workers, so workers never contend on one writer), merged
+/// by raw block copy at the end. With a checkpoint cadence it repeats
+/// engine epochs, writing the pending frontier to `FILE.standckpt` every
+/// `ckpt_every` seconds, until the enumeration completes, a count limit
+/// fires, or the wall-clock budget runs out (which leaves a final
+/// checkpoint for `stand resume`). Without one the run is a single epoch
+/// that keeps no frontier.
 ///
 /// Durability order per epoch: segments are finalized (footer written)
 /// *before* the checkpoint naming them is renamed into place, so a crash
 /// at any point leaves either a fully consistent checkpoint or none.
-#[allow(clippy::too_many_arguments)]
 fn run_stand_epochs(
     taxa: &TaxonSet,
     problem: &StandProblem,
     config: &GentriusConfig,
     pcfg: &ParallelConfig,
     path: &str,
-    emit_batch: usize,
-    ckpt_every: f64,
+    ckpt_every: Option<f64>,
     init: EpochInit,
 ) -> Result<(ParallelRunResult, Option<ContainerSummary>, String), CliError> {
     let started = Instant::now();
@@ -535,7 +537,7 @@ fn run_stand_epochs(
         }
         let mut epcfg = pcfg.clone();
         if let Some(m) = &mut epcfg.monitor {
-            m.checkpoint_every = Some(Duration::from_secs_f64(ckpt_every));
+            m.checkpoint_every = ckpt_every.map(Duration::from_secs_f64);
         }
         let gen_now = gen;
         let seg_path = move |i: usize| PathBuf::from(format!("{path}.g{gen_now}.seg{i}"));
@@ -544,18 +546,16 @@ fn run_stand_epochs(
             guard.track(seg_path(i));
         }
         let resume = frontier.take().map(|tasks| ResumeFrontier { tasks, base });
+        // Each context encodes straight into its segment: buffering trees
+        // first (a `BatchingSink`) clones every tree, which costs more than
+        // encoding it.
         let (mut r, sinks, captured) = run_parallel_epoch(
             problem,
             &cfg,
             &epcfg,
-            |i| {
-                BatchingSink::new(
-                    ContainerSink::create(&seg_path(i), taxa),
-                    emit_batch.max(64),
-                )
-            },
+            |i| ContainerSink::create(&seg_path(i), taxa),
             resume,
-            true,
+            ckpt_every.is_some(),
         )
         .map_err(|e| CliError(e.to_string()))?;
         // Finalize this epoch's segments before any checkpoint can name
@@ -563,7 +563,6 @@ fn run_stand_epochs(
         for (i, s) in sinks.into_iter().enumerate() {
             let p = seg_path(i);
             let summary = s
-                .into_inner()
                 .finish()
                 .map_err(|e| CliError(format!("{}: {e}", p.display())))?;
             if summary.trees > 0 {
@@ -624,6 +623,111 @@ fn run_stand_epochs(
     }
 }
 
+/// The `--threads N` worker count, if given; it must be at least 1.
+fn threads_arg(a: &ParsedArgs) -> Result<Option<usize>, CliError> {
+    match a.get("threads") {
+        None => Ok(None),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => err(format!("--threads: expected at least 1 worker, got '{v}'")),
+        },
+    }
+}
+
+/// The engine settings shared by `stand` and `stand resume`: the defaults
+/// for `threads` workers plus the tracing and scheduler-tuning flags.
+fn parallel_config(a: &ParsedArgs, threads: usize) -> Result<ParallelConfig, CliError> {
+    let mut pcfg = ParallelConfig::with_threads(threads);
+    pcfg.trace = a.has("trace-json");
+    pcfg.adaptive_split = !a.has("no-adaptive-split");
+    pcfg.stop_poll_stride = a
+        .get_parsed("stop-poll-stride", pcfg.stop_poll_stride)
+        .map_err(|e| CliError(e.to_string()))?;
+    Ok(pcfg)
+}
+
+/// Writes the `--metrics-json` and `--trace-json` exports of a finished
+/// run; returns one report line per file written.
+fn write_exports(
+    a: &ParsedArgs,
+    r: &ParallelRunResult,
+    pcfg: &ParallelConfig,
+) -> Result<String, CliError> {
+    let mut lines = String::new();
+    if let Some(path) = a.get("metrics-json") {
+        let mut f = std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
+        gentrius_parallel::obs::write_run_metrics(&mut f, r, &pcfg.flush)
+            .map_err(|e| CliError(format!("{path}: {e}")))?;
+        writeln!(
+            lines,
+            "wrote run metrics (schema v{}) to {path}",
+            gentrius_parallel::obs::METRICS_VERSION
+        )
+        .unwrap();
+    }
+    if let Some(path) = a.get("trace-json") {
+        let mut f = std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
+        gentrius_parallel::obs::write_chrome_trace(&mut f, r)
+            .map_err(|e| CliError(format!("{path}: {e}")))?;
+        let spans: usize = r.workers.iter().map(|w| w.spans.len()).sum();
+        writeln!(lines, "wrote chrome trace ({spans} task spans) to {path}").unwrap();
+    }
+    Ok(lines)
+}
+
+/// The report `stand` and `stand resume` print after a run. `collected`
+/// is the size of an in-memory Newick collection, `notes` the checkpoint
+/// and export lines, `container` the `.stand` file written.
+fn write_report(
+    out: &mut String,
+    mapping: MappingMode,
+    r: &ParallelRunResult,
+    collected: Option<(usize, usize)>,
+    notes: &str,
+    container: Option<(&str, ContainerSummary)>,
+) {
+    let stats = &r.stats;
+    writeln!(out, "threads: {}", r.threads).unwrap();
+    writeln!(out, "mapping: {mapping}").unwrap();
+    writeln!(out, "stand trees: {}", stats.stand_trees).unwrap();
+    writeln!(out, "intermediate states: {}", stats.intermediate_states).unwrap();
+    writeln!(out, "dead ends: {}", stats.dead_ends).unwrap();
+    // Honesty about the in-memory collection cap: the engine counted every
+    // stand tree, but at most --max-collect of them were kept.
+    if let Some((kept, cap)) = collected.filter(|&(kept, _)| (kept as u64) < stats.stand_trees) {
+        writeln!(
+            out,
+            "truncated: true (collected {kept} of {} stand trees)",
+            stats.stand_trees
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "warning: in-memory collection capped at --max-collect {cap}; \
+             raise it or stream to a container with --output FILE.stand"
+        )
+        .unwrap();
+    }
+    let s = &r.scheduler;
+    writeln!(
+        out,
+        "scheduler: {} tasks, {} splits, {} steals ({} empty sweeps), {} parks, {} injected, {} deque grows",
+        s.executed, s.splits, s.steals, s.failed_steals, s.parks, s.injected, s.deque_grows
+    )
+    .unwrap();
+    writeln!(out, "status: {}", stop_str(r.stop)).unwrap();
+    writeln!(out, "time: {:.3}s", r.elapsed.as_secs_f64()).unwrap();
+    out.push_str(notes);
+    if let Some((path, csum)) = container {
+        writeln!(
+            out,
+            "wrote {} trees to {path} ({} blocks, .stand container)",
+            csum.trees, csum.blocks
+        )
+        .unwrap();
+    }
+}
+
 /// Resumes a checkpointed container run: `gentrius stand resume
 /// FILE.standckpt [--threads N] [--checkpoint-every SECS]`.
 fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
@@ -638,21 +742,16 @@ fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
              [--threads N] [--checkpoint-every SECS]",
         );
     };
+    let threads = threads_arg(a)?;
     let ck = Checkpoint::read(Path::new(path)).map_err(|e| CliError(format!("{path}: {e}")))?;
     let (taxa, problem, config, tasks) = restore_checkpoint(&ck)?;
-    let threads: usize = a
-        .get_parsed("threads", ck.threads.max(1))
-        .map_err(|e| CliError(e.to_string()))?;
-    let threads = threads.max(1);
+    let threads = threads.unwrap_or(ck.threads.max(1));
     let ckpt_every: f64 = a
         .get_parsed("checkpoint-every", 60.0f64)
         .map_err(|e| CliError(e.to_string()))?;
     if ckpt_every.is_nan() || ckpt_every <= 0.0 {
         return err("--checkpoint-every: must be a positive number of seconds");
     }
-    let emit_batch: usize = a
-        .get_parsed("emit-batch", 1usize)
-        .map_err(|e| CliError(e.to_string()))?;
 
     let mut out = String::new();
     writeln!(
@@ -684,22 +783,14 @@ fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
         .unwrap();
     }
 
-    let mut pcfg = ParallelConfig::with_threads(threads);
-    pcfg.adaptive_split = !a.has("no-adaptive-split");
-    pcfg.stop_poll_stride = a
-        .get_parsed("stop-poll-stride", pcfg.stop_poll_stride)
-        .map_err(|e| CliError(e.to_string()))?;
-    if a.has("coarse-flush") {
-        pcfg.flush = gentrius_parallel::FlushThresholds::coarse();
-    }
-    let (r, csum, extra) = run_stand_epochs(
+    let pcfg = parallel_config(a, threads)?;
+    let (r, csum, mut notes) = run_stand_epochs(
         &taxa,
         &problem,
         &config,
         &pcfg,
         &ck.output,
-        emit_batch,
-        ckpt_every,
+        Some(ckpt_every),
         EpochInit {
             gen: ck.generation,
             segments: keep,
@@ -707,47 +798,36 @@ fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
             frontier: Some(tasks),
         },
     )?;
-    writeln!(out, "threads: {threads}").unwrap();
-    writeln!(out, "mapping: {}", config.mapping).unwrap();
-    writeln!(out, "stand trees: {}", r.stats.stand_trees).unwrap();
-    writeln!(out, "intermediate states: {}", r.stats.intermediate_states).unwrap();
-    writeln!(out, "dead ends: {}", r.stats.dead_ends).unwrap();
-    writeln!(out, "status: {}", stop_str(r.stop)).unwrap();
-    writeln!(out, "time: {:.3}s", r.elapsed.as_secs_f64()).unwrap();
-    out.push_str(&extra);
-    if let Some(csum) = csum {
-        writeln!(
-            out,
-            "wrote {} trees to {} ({} blocks, .stand container)",
-            csum.trees, ck.output, csum.blocks
-        )
-        .unwrap();
-    }
+    notes.push_str(&write_exports(a, &r, &pcfg)?);
+    write_report(
+        &mut out,
+        config.mapping,
+        &r,
+        None,
+        &notes,
+        csum.map(|c| (ck.output.as_str(), c)),
+    );
     Ok(out)
 }
 
+/// Enumerates a stand. Every run goes through the engine; an output path
+/// ending in `.stand` streams the trees into a container, anything else
+/// collects canonical Newick strings in memory.
 fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
     let (taxa, problem) = load_problem(a)?;
     let config = config_from(a)?;
-    let threads: usize = a
-        .get_parsed("threads", 1usize)
-        .map_err(|e| CliError(e.to_string()))?;
+    let threads = threads_arg(a)?.unwrap_or(1);
     let output = a.get("output");
     // An output path ending in `.stand` selects the streaming container
     // path: trees go to disk as they are generated, memory stays bounded
     // by one block, and no in-memory collection cap applies.
     let container_output = output.filter(|p| p.ends_with(".stand"));
-    let legacy_output = if container_output.is_some() {
-        None
-    } else {
-        output
-    };
+    let newick_output = output.filter(|_| container_output.is_none());
     let max_collect: usize = a
         .get_parsed("max-collect", 10_000_000usize)
         .map_err(|e| CliError(e.to_string()))?;
     let want_collect =
-        legacy_output.is_some() || (a.has("print-trees") && container_output.is_none());
-    let cap = if want_collect { max_collect } else { 0 };
+        newick_output.is_some() || (a.has("print-trees") && container_output.is_none());
     let ckpt_every: Option<f64> = match a.get("checkpoint-every") {
         None => None,
         Some(v) => {
@@ -802,229 +882,84 @@ fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
         }
     }
 
-    let metrics_path = a.get("metrics-json");
-    let trace_path = a.get("trace-json");
-    // The exports serialize a ParallelRunResult, so either flag routes the
-    // run through the parallel engine (which supports --threads 1); so
-    // does checkpointing, whose frontier only exists in the engine.
-    let use_parallel =
-        threads > 1 || metrics_path.is_some() || trace_path.is_some() || ckpt_every.is_some();
-
-    let mut export_lines = String::new();
-    let (stats, stop, elapsed, mut newicks, sched, container_summary) = if !use_parallel {
-        if let Some(path) = container_output {
-            let mut sink = ContainerSink::create(Path::new(path), &taxa);
-            let r = problem_run_serial(&problem, &config, &mut sink)?;
-            let summary = sink
-                .finish()
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            (r.stats, r.stop, r.elapsed, Vec::new(), None, Some(summary))
-        } else {
-            let mut sink = CollectNewick::with_cap(&taxa, cap);
-            let r = problem_run_serial(&problem, &config, &mut sink)?;
-            (r.stats, r.stop, r.elapsed, sink.out, None, None)
-        }
-    } else {
-        let mut pcfg = ParallelConfig::with_threads(threads);
-        pcfg.trace = trace_path.is_some();
-        pcfg.adaptive_split = !a.has("no-adaptive-split");
-        pcfg.stop_poll_stride = a
-            .get_parsed("stop-poll-stride", pcfg.stop_poll_stride)
-            .map_err(|e| CliError(e.to_string()))?;
-        if a.has("coarse-flush") {
-            pcfg.flush = gentrius_parallel::FlushThresholds::coarse();
-        }
-        let emit_batch: usize = a
-            .get_parsed("emit-batch", 1usize)
-            .map_err(|e| CliError(e.to_string()))?;
-        // Batching only pays when trees are kept: a count-only collector
-        // (cap 0) discards immediately, so buffering would add clones for
-        // nothing.
-        let (r, merged, csum) = if let Some(path) = container_output {
-            if let Some(every) = ckpt_every {
-                let (r, csum, extra) = run_stand_epochs(
-                    &taxa,
-                    &problem,
-                    &config,
-                    &pcfg,
-                    path,
-                    emit_batch,
-                    every,
-                    EpochInit {
-                        gen: 0,
-                        segments: Vec::new(),
-                        base: RunStats::new(),
-                        frontier: None,
-                    },
-                )?;
-                export_lines.push_str(&extra);
-                (r, Vec::new(), csum)
-            } else {
-                // One container segment per engine context (0 = the serial
-                // prefix, 1.. = workers), merged by raw block copy
-                // afterwards: workers never contend on one writer, and
-                // encoding runs off the per-state hot loop behind a
-                // BatchingSink. The guard removes the segments if finish
-                // or merge fails; otherwise the merge consumed them.
-                let seg_path = |i: usize| PathBuf::from(format!("{path}.seg{i}"));
-                let mut guard = SegGuard::new();
-                for i in 0..=pcfg.threads {
-                    guard.track(seg_path(i));
-                }
-                let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |i| {
-                    BatchingSink::new(
-                        ContainerSink::create(&seg_path(i), &taxa),
-                        emit_batch.max(64),
-                    )
-                })
-                .map_err(|e| CliError(e.to_string()))?;
-                let mut segs = Vec::new();
-                for (i, s) in sinks.into_iter().enumerate() {
-                    let p = seg_path(i);
-                    s.into_inner()
-                        .finish()
-                        .map_err(|e| CliError(format!("{}: {e}", p.display())))?;
-                    segs.push(p);
-                }
-                let summary = merge_segments(Path::new(path), &taxa, &segs)
-                    .map_err(|e| CliError(format!("{path}: {e}")))?;
-                guard.disarm();
-                (r, Vec::new(), Some(summary))
-            }
-        } else if want_collect && emit_batch > 1 {
-            let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
-                BatchingSink::new(CollectNewick::with_cap(&taxa, cap), emit_batch)
-            })
-            .map_err(|e| CliError(e.to_string()))?;
-            let merged = canonical_stand_set(sinks.into_iter().map(|s| s.into_inner().out));
-            (r, merged, None)
-        } else {
-            let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
-                CollectNewick::with_cap(&taxa, cap)
-            })
-            .map_err(|e| CliError(e.to_string()))?;
-            let merged = canonical_stand_set(sinks.into_iter().map(|s| s.out));
-            (r, merged, None)
+    let pcfg = parallel_config(a, threads)?;
+    let (r, newicks, csum, mut notes) = if let Some(path) = container_output {
+        let init = EpochInit {
+            gen: 0,
+            segments: Vec::new(),
+            base: RunStats::new(),
+            frontier: None,
         };
-        if let Some(path) = metrics_path {
-            let mut f =
-                std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            gentrius_parallel::obs::write_run_metrics(&mut f, &r, &pcfg.flush)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            writeln!(
-                export_lines,
-                "wrote run metrics (schema v{}) to {path}",
-                gentrius_parallel::obs::METRICS_VERSION
-            )
-            .unwrap();
-        }
-        if let Some(path) = trace_path {
-            let mut f =
-                std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            gentrius_parallel::obs::write_chrome_trace(&mut f, &r)
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            let spans: usize = r.workers.iter().map(|w| w.spans.len()).sum();
-            writeln!(
-                export_lines,
-                "wrote chrome trace ({spans} task spans) to {path}"
-            )
-            .unwrap();
-        }
-        (r.stats, r.stop, r.elapsed, merged, Some(r.scheduler), csum)
+        let (r, csum, notes) =
+            run_stand_epochs(&taxa, &problem, &config, &pcfg, path, ckpt_every, init)?;
+        (r, Vec::new(), csum, notes)
+    } else {
+        // Every context may own the whole stand, so each keeps up to the
+        // cap; the cap then applies to the merged set.
+        let cap = if want_collect { max_collect } else { 0 };
+        let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
+            CollectNewick::with_cap(&taxa, cap)
+        })
+        .map_err(|e| CliError(e.to_string()))?;
+        let mut newicks = canonical_stand_set(sinks.into_iter().map(|s| s.out));
+        newicks.truncate(cap);
+        (r, newicks, None, String::new())
     };
+    notes.push_str(&write_exports(a, &r, &pcfg)?);
+    // A checkpointed run that hit the time limit has no merged container
+    // yet (only segments + the checkpoint), so there is nothing to
+    // summarize or read back.
+    let have_container = csum.is_some();
+    write_report(
+        &mut out,
+        config.mapping,
+        &r,
+        want_collect.then_some((newicks.len(), max_collect)),
+        &notes,
+        container_output.zip(csum),
+    );
 
-    writeln!(out, "threads: {threads}").unwrap();
-    writeln!(out, "mapping: {}", config.mapping).unwrap();
-    writeln!(out, "stand trees: {}", stats.stand_trees).unwrap();
-    writeln!(out, "intermediate states: {}", stats.intermediate_states).unwrap();
-    writeln!(out, "dead ends: {}", stats.dead_ends).unwrap();
-    // Honesty about the in-memory collection cap: the engine counted every
-    // stand tree, but the collectors keep at most --max-collect each.
-    let collected = newicks.len() as u64;
-    let truncated = want_collect && collected < stats.stand_trees;
-    if truncated {
-        writeln!(
-            out,
-            "truncated: true (collected {collected} of {} stand trees)",
-            stats.stand_trees
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "warning: in-memory collection capped at --max-collect {max_collect}; \
-             raise it or stream to a container with --output FILE.stand"
-        )
-        .unwrap();
+    if let Some(path) = container_output.filter(|_| have_container && a.has("print-trees")) {
+        // Read back from the container instead of teeing into RAM during
+        // the run; sorted so the printed set matches the collect path's
+        // canonical order.
+        let mut c =
+            Container::open(Path::new(path)).map_err(|e| CliError(format!("{path}: {e}")))?;
+        let mut all = Vec::with_capacity(usize::try_from(c.len()).unwrap_or(0));
+        c.for_each_newick(0, u64::MAX, |_, nwk| {
+            all.push(nwk.to_string());
+            Ok(())
+        })
+        .map_err(|e| CliError(format!("{path}: {e}")))?;
+        all.sort();
+        for t in &all {
+            writeln!(out, "{t}").unwrap();
+        }
     }
-    if let Some(s) = &sched {
-        writeln!(
-            out,
-            "scheduler: {} tasks, {} splits, {} steals ({} empty sweeps), {} parks, {} injected, {} deque grows",
-            s.executed, s.splits, s.steals, s.failed_steals, s.parks, s.injected, s.deque_grows
-        )
-        .unwrap();
-    }
-    writeln!(out, "status: {}", stop_str(stop)).unwrap();
-    writeln!(out, "time: {:.3}s", elapsed.as_secs_f64()).unwrap();
-    out.push_str(&export_lines);
-
-    if let Some(path) = container_output {
-        // A checkpointed run that hit the time limit has no merged
-        // container yet (only segments + the checkpoint), so there is
-        // nothing to summarize or read back.
-        let have_container = container_summary.is_some();
-        if let Some(csum) = container_summary {
+    if let Some(path) = newick_output {
+        // One line at a time through a BufWriter: `join` would build a
+        // second full copy of the stand in memory first.
+        let file = std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
+        let mut w = std::io::BufWriter::new(file);
+        for t in &newicks {
+            writeln!(w, "{t}").map_err(|e| CliError(format!("{path}: {e}")))?;
+        }
+        w.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
+        if (newicks.len() as u64) < r.stats.stand_trees {
             writeln!(
                 out,
-                "wrote {} trees to {path} ({} blocks, .stand container)",
-                csum.trees, csum.blocks
+                "wrote {} of {} trees to {path}",
+                newicks.len(),
+                r.stats.stand_trees
             )
             .unwrap();
+        } else {
+            writeln!(out, "wrote {} trees to {path}", newicks.len()).unwrap();
         }
-        if a.has("print-trees") && have_container {
-            // Read back from the container instead of teeing into RAM
-            // during the run; sorted so the printed set matches the
-            // collect path's canonical order.
-            let mut c =
-                Container::open(Path::new(path)).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let mut all = Vec::with_capacity(usize::try_from(c.len()).unwrap_or(0));
-            c.for_each_newick(0, u64::MAX, |_, nwk| {
-                all.push(nwk.to_string());
-                Ok(())
-            })
-            .map_err(|e| CliError(format!("{path}: {e}")))?;
-            all.sort();
-            for t in &all {
-                writeln!(out, "{t}").unwrap();
-            }
-        }
-    } else if want_collect {
-        newicks.sort();
-        if let Some(path) = legacy_output {
-            // One line at a time through a BufWriter: `join` would build a
-            // second full copy of the stand in memory first.
-            let file = std::fs::File::create(path).map_err(|e| CliError(format!("{path}: {e}")))?;
-            let mut w = std::io::BufWriter::new(file);
-            for t in &newicks {
-                writeln!(w, "{t}").map_err(|e| CliError(format!("{path}: {e}")))?;
-            }
-            w.flush().map_err(|e| CliError(format!("{path}: {e}")))?;
-            if truncated {
-                writeln!(
-                    out,
-                    "wrote {} of {} trees to {path}",
-                    newicks.len(),
-                    stats.stand_trees
-                )
-                .unwrap();
-            } else {
-                writeln!(out, "wrote {} trees to {path}", newicks.len()).unwrap();
-            }
-        }
-        if a.has("print-trees") {
-            for t in &newicks {
-                writeln!(out, "{t}").unwrap();
-            }
+    }
+    if want_collect && a.has("print-trees") {
+        for t in &newicks {
+            writeln!(out, "{t}").unwrap();
         }
     }
     Ok(out)
@@ -1123,14 +1058,6 @@ fn cmd_stand_cat(a: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), Cli
     }
     read.map_err(|e| CliError(format!("{path}: {e}")))?;
     stdout_result(out.flush())
-}
-
-fn problem_run_serial<S: gentrius_core::StandSink>(
-    problem: &StandProblem,
-    config: &GentriusConfig,
-    sink: &mut S,
-) -> Result<gentrius_core::RunResult, CliError> {
-    gentrius_core::run_serial(problem, config, sink).map_err(|e| CliError(e.to_string()))
 }
 
 fn cmd_induced(a: &ParsedArgs) -> Result<String, CliError> {
@@ -1311,9 +1238,7 @@ fn cmd_consensus(a: &ParsedArgs) -> Result<String, CliError> {
 fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
     let (taxa, problem) = load_problem(a)?;
     let config = config_from(a)?;
-    let threads: usize = a
-        .get_parsed("threads", 2usize)
-        .map_err(|e| CliError(e.to_string()))?;
+    let threads = threads_arg(a)?.unwrap_or(2);
     let mut out = String::new();
     writeln!(out, "mapping: {}", config.mapping).unwrap();
 
@@ -1332,7 +1257,7 @@ fn cmd_verify(a: &ParsedArgs) -> Result<String, CliError> {
 
     // `--threads N` is honored as given (the engine supports a single
     // worker); it used to be silently bumped to 2.
-    let pcfg = ParallelConfig::with_threads(threads.max(1));
+    let pcfg = ParallelConfig::with_threads(threads);
     let (par, par_sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
         CollectNewick::with_cap(&taxa, 2_000_000)
     })
@@ -1503,6 +1428,16 @@ mod tests {
         let mut out = Vec::new();
         run(&owned, &mut out)?;
         Ok(String::from_utf8(out).expect("commands write UTF-8"))
+    }
+
+    /// Segment files in `dir` whose names start with `prefix`.
+    fn segment_files(dir: &Path, prefix: &str) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| n.starts_with(prefix) && n.contains("seg"))
+            .collect()
     }
 
     fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
@@ -1778,8 +1713,7 @@ mod tests {
         let p = write_tmp("metrics.nwk", "((A,B),(C,D));\n((A,E),(F,G));\n");
         let dir = std::env::temp_dir().join("gentrius-cli-tests");
         let mj = dir.join("run_metrics.json");
-        // --threads 1 must also work: the flag routes through the
-        // parallel engine with a single worker.
+        // --threads 1 runs the engine with a single worker.
         let out = run_strs(&[
             "stand",
             "--trees",
@@ -1818,12 +1752,9 @@ mod tests {
             "--no-adaptive-split",
             "--stop-poll-stride",
             "8",
-            "--emit-batch",
-            "4",
-            "--coarse-flush",
         ])
         .unwrap();
-        // The tuning knobs change scheduling and buffering, never results:
+        // The tuning knobs change scheduling, never results:
         // the printed stand set (every line ending in ';') must match the
         // serial default exactly.
         let trees = |s: &str| {
@@ -1902,26 +1833,35 @@ mod tests {
         );
         assert!(!full.contains("truncated:"), "{full}");
 
-        let out = run_strs(&[
-            "stand",
-            "--trees",
-            path,
-            "--print-trees",
-            "--max-collect",
-            "2",
-        ])
-        .unwrap();
-        assert!(
-            out.contains(&format!(
-                "truncated: true (collected 2 of {total} stand trees)"
-            )),
-            "{out}"
-        );
-        assert!(
-            out.contains("warning: in-memory collection capped"),
-            "{out}"
-        );
-        assert_eq!(out.lines().filter(|l| l.ends_with(';')).count(), 2, "{out}");
+        // The cap applies to the merged set, whatever the thread count.
+        for threads in ["1", "2", "3"] {
+            let out = run_strs(&[
+                "stand",
+                "--trees",
+                path,
+                "--threads",
+                threads,
+                "--print-trees",
+                "--max-collect",
+                "2",
+            ])
+            .unwrap();
+            assert!(
+                out.contains(&format!(
+                    "truncated: true (collected 2 of {total} stand trees)"
+                )),
+                "threads {threads}: {out}"
+            );
+            assert!(
+                out.contains("warning: in-memory collection capped"),
+                "threads {threads}: {out}"
+            );
+            assert_eq!(
+                out.lines().filter(|l| l.ends_with(';')).count(),
+                2,
+                "threads {threads}: {out}"
+            );
+        }
 
         // File output is honest about the shortfall too.
         let dir = std::env::temp_dir().join("gentrius-cli-tests");
@@ -2015,12 +1955,7 @@ mod tests {
         .unwrap();
         assert!(out.contains(".stand container"), "{out}");
         // Per-context segments are merged into the final file and deleted.
-        for i in 0..4 {
-            assert!(
-                !dir.join(format!("contpar.stand.seg{i}")).exists(),
-                "segment {i} left behind"
-            );
-        }
+        assert!(segment_files(&dir, "contpar.stand.").is_empty());
         let cat = run_strs(&["stand", "cat", cpath]).unwrap();
         let mut got: Vec<String> = cat.lines().map(str::to_string).collect();
         got.sort();
@@ -2224,10 +2159,11 @@ mod tests {
         ])
         .expect_err("merging over a directory must fail");
         assert!(err.0.contains("segleak.stand"), "{err}");
-        for i in 0..4 {
-            let seg = dir.join(format!("segleak.stand.seg{i}"));
-            assert!(!seg.exists(), "segment {i} leaked after a failed merge");
-        }
+        let leaked = segment_files(&dir, "segleak.stand.");
+        assert!(
+            leaked.is_empty(),
+            "segments leaked after a failed merge: {leaked:?}"
+        );
         std::fs::remove_dir_all(&cont).unwrap();
     }
 
@@ -2293,12 +2229,7 @@ mod tests {
         assert!(out.contains("complete enumeration"), "{out}");
         // All sidecars retired on completion.
         assert!(!dir.join("ckdiff-ck.standckpt").exists());
-        let leftovers: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("ckdiff-ck.stand.") && n.contains("seg"))
-            .collect();
+        let leftovers = segment_files(&dir, "ckdiff-ck.stand.");
         assert!(leftovers.is_empty(), "segment files leaked: {leftovers:?}");
 
         let sort_lines = |s: String| {

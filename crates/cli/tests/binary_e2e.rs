@@ -135,6 +135,8 @@ fn error_paths_exit_nonzero() {
     let trees = tmp("flags.nwk");
     std::fs::write(&trees, "((A,B),(C,D));\n((C,D),(E,F));\n").unwrap();
     let trees = trees.to_str().unwrap();
+    let metrics = tmp("flags-metrics.json");
+    let metrics = metrics.to_str().unwrap();
     for (extra, named) in [
         (&["--max-tree", "10"][..], "--max-tree"),
         (&["--incremental"][..], "--incremental"),
@@ -142,6 +144,13 @@ fn error_paths_exit_nonzero() {
         (&["--no-dynamc", "--threads", "2"][..], "--no-dynamc"),
         (&["--nope=1"][..], "--nope"),
         (&["--print-trees=yes"][..], "--print-trees"),
+        (&["--emit-batch", "4"][..], "--emit-batch"),
+        (&["--coarse-flush"][..], "--coarse-flush"),
+        (&["--threads", "0"][..], "--threads"),
+        (
+            &["--threads", "0", "--metrics-json", metrics][..],
+            "--threads",
+        ),
     ] {
         let out = gentrius()
             .args(["stand", "--trees", trees])
@@ -155,6 +164,94 @@ fn error_paths_exit_nonzero() {
             "{extra:?}: {err}"
         );
     }
+    // `stand resume` rejects a zero worker count too, before it even
+    // reads the checkpoint.
+    let out = gentrius()
+        .args([
+            "stand",
+            "resume",
+            "/nonexistent/x.standckpt",
+            "--threads",
+            "0",
+        ])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error:") && err.contains("--threads"), "{err}");
+}
+
+/// The `stand` report contract at one thread: an export or container flag
+/// changes what is written, never the counters or the stop. Every run goes
+/// through the engine, which at one thread stops on exactly the event the
+/// serial algorithm stops on (`long-runner-0` has ~165k stand trees, so
+/// the 100-tree cap fires mid-run).
+#[test]
+fn stand_report_is_identical_with_and_without_export_flags() {
+    let ds = tmp("contract.dataset");
+    run_ok(&[
+        "gen",
+        "--scenario",
+        "long-runner-0",
+        "--output",
+        ds.to_str().unwrap(),
+    ]);
+    let metrics = tmp("contract-metrics.json");
+    let trace = tmp("contract-trace.json");
+    let cont = tmp("contract.stand");
+    let base = [
+        "stand",
+        "--dataset",
+        ds.to_str().unwrap(),
+        "--threads",
+        "1",
+        "--max-trees",
+        "100",
+    ];
+    let variants: [&[&str]; 4] = [
+        &[],
+        &["--metrics-json", metrics.to_str().unwrap()],
+        &["--trace-json", trace.to_str().unwrap()],
+        &["--output", cont.to_str().unwrap()],
+    ];
+    let want = [
+        "stand trees: 100",
+        "intermediate states: 19",
+        "dead ends: 0",
+        "status: stopped: stand-tree limit (rule 1)",
+    ];
+    for extra in variants {
+        let out = run_ok(&[&base[..], extra].concat());
+        let lines: Vec<&str> = out.lines().collect();
+        // The report's keys, in order (trailing export lines aside).
+        let keys: Vec<&str> = lines
+            .iter()
+            .take(9)
+            .map(|l| l.split(": ").next().unwrap_or(""))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "input",
+                "threads",
+                "mapping",
+                "stand trees",
+                "intermediate states",
+                "dead ends",
+                "scheduler",
+                "status",
+                "time",
+            ],
+            "{extra:?}: {out}"
+        );
+        assert_eq!(
+            [lines[3], lines[4], lines[5], lines[7]],
+            want,
+            "{extra:?}: {out}"
+        );
+    }
+    let cat = run_ok(&["stand", "cat", cont.to_str().unwrap()]);
+    assert_eq!(cat.lines().count(), 100);
 }
 
 /// `stand cat FILE.stand | head -1` must exit 0: head closes the pipe

@@ -48,20 +48,9 @@ impl FlushThresholds {
         }
     }
 
-    /// Coarser thresholds (8× the paper's state threshold, 8× trees/dead
-    /// ends) for runs where the edge-indexed kernels make states so cheap
-    /// that even the paper's flush cadence shows up in the profile. The
-    /// stopping rules lag by at most one batch per worker either way.
-    pub fn coarse() -> Self {
-        FlushThresholds {
-            stand_trees: 1 << 13,
-            intermediate_states: 1 << 16,
-            dead_ends: 1 << 13,
-        }
-    }
-
     /// Flush on every increment — the unbatched baseline of the §III-B
-    /// ablation.
+    /// ablation, and the single-worker setting (no contention to avoid,
+    /// so the count limits stop exactly).
     pub fn unbatched() -> Self {
         FlushThresholds {
             stand_trees: 1,

@@ -24,7 +24,8 @@ use std::time::{Duration, Instant};
 pub struct ParallelConfig {
     /// Number of worker threads (`N_t`).
     pub threads: usize,
-    /// Counter-flush batching (§III-B; `unbatched()` for the ablation).
+    /// Counter-flush batching (§III-B; `unbatched()` for the ablation and
+    /// for a single worker).
     pub flush: FlushThresholds,
     /// Per-worker deque capacity (the §III-A "split only when there is
     /// room" gate); `None` applies the paper rule
@@ -52,23 +53,35 @@ pub struct ParallelConfig {
     /// Steps between polls of the shared stop flag in the worker hot loop.
     /// Larger strides keep the (cheap but shared) flag read off the
     /// per-state path; the stop-overshoot bound grows by at most one
-    /// stride per worker. Tests asserting tight overshoot bounds set 1.
+    /// stride per worker. Tests asserting tight overshoot bounds set 1, as
+    /// does [`ParallelConfig::with_threads`] for a single worker.
     pub stop_poll_stride: usize,
 }
 
 impl ParallelConfig {
     /// Paper-faithful settings for `threads` workers.
+    ///
+    /// Batched flushes and a polling stride trade an overshoot of the
+    /// count limits for less contention on the shared counters (§III-B).
+    /// One worker has nobody to contend with, so `threads == 1` flushes
+    /// every count and polls the stop flag every step: the engine then
+    /// stops on exactly the event the serial driver stops on.
     pub fn with_threads(threads: usize) -> Self {
+        let single = threads == 1;
         ParallelConfig {
             threads,
-            flush: FlushThresholds::paper_defaults(),
+            flush: if single {
+                FlushThresholds::unbatched()
+            } else {
+                FlushThresholds::paper_defaults()
+            },
             queue_capacity: None,
             min_remaining_for_split: 3,
             steal_seed: 0,
             trace: false,
             monitor: Some(MonitorConfig::default()),
             adaptive_split: true,
-            stop_poll_stride: 64,
+            stop_poll_stride: if single { 1 } else { 64 },
         }
     }
 
@@ -165,8 +178,9 @@ impl EngineReport {
 pub struct ParallelRunResult {
     /// Global counters (exact totals of the work performed). Count-based
     /// stopping limits may be overshot by up to one flush batch per
-    /// thread, as in the paper; the wall-clock limit is enforced by the
-    /// run monitor to within about one monitor tick.
+    /// thread, as in the paper (not at all with one thread and the
+    /// [`ParallelConfig::with_threads`] defaults); the wall-clock limit is
+    /// enforced by the run monitor to within about one monitor tick.
     pub stats: RunStats,
     /// The stopping rule that fired, if any.
     pub stop: Option<StopCause>,
@@ -273,9 +287,15 @@ where
 {
     assert!(pcfg.threads >= 1, "need at least one worker thread");
     let initial = problem.initial_tree_index(&config.initial_tree)?;
-    // Surface order-rule problems before any thread is spawned (workers
-    // construct their states with expect()).
-    SearchState::new(problem, initial, &config.taxon_order).map_err(ProblemError::BadTaxonOrder)?;
+    // The root state is built before any thread is spawned, so an
+    // order-rule problem surfaces as an error.
+    let (start, base_stats) = match resume {
+        None => (
+            Start::Root(new_state(problem, initial, config)?),
+            RunStats::new(),
+        ),
+        Some(f) => (Start::Frontier(f.tasks), f.base),
+    };
     let started = Instant::now();
 
     // Root invariant check (same as the serial driver). A resumed frontier
@@ -284,7 +304,9 @@ where
     let agile0 = &problem.constraints()[initial];
     let mut sinks = Vec::new();
     let mut prefix_sink = make_sink(0);
-    if resume.is_none() && problem.constraints().iter().any(|c| !compatible(agile0, c)) {
+    if matches!(start, Start::Root(_))
+        && problem.constraints().iter().any(|c| !compatible(agile0, c))
+    {
         sinks.push(prefix_sink);
         return Ok((
             ParallelRunResult {
@@ -304,10 +326,6 @@ where
         ));
     }
 
-    let (resume_tasks, base_stats) = match resume {
-        Some(f) => (Some(f.tasks), f.base),
-        None => (None, RunStats::new()),
-    };
     let global = GlobalCounters::with_base(config.stopping.clone(), base_stats);
     // The pool exists for the whole run (even though workers only spawn in
     // phase 3) so the monitor can wake parked threads and sample scheduler
@@ -319,13 +337,10 @@ where
 
     let checkpoint_every = pcfg.monitor.as_ref().and_then(|m| m.checkpoint_every);
 
-    // One scope holds the monitor and (later) the workers. Every return
-    // path below must call `finish` on the monitor before the scope
-    // closes, or the scope would wait on a supervisor that never quits.
+    // One scope holds the monitor and the workers. Every return path below
+    // must call `finish` on the monitor before the scope closes, or the
+    // scope would wait on a supervisor that never quits.
     let (result, returned_sinks, frontier) = std::thread::scope(|scope| {
-        if let Some(shared) = &monitor_shared {
-            spawn_monitor(scope, shared, &global, &pool, started, checkpoint_every);
-        }
         // If anything below unwinds (a worker panic propagating through
         // `join().expect`), the monitor must still be told to quit, or the
         // scope's implicit join would hang the unwind forever.
@@ -345,142 +360,156 @@ where
             None => MonitorReport::default(),
         };
 
-        let prefix_stats = if let Some(tasks) = resume_tasks {
+        let prefix_stats = match start {
             // ----------------------------------------------------------
             // Resume — the frontier descriptors *are* the remaining
             // search space; the serial prefix and the initial split were
             // already performed by the epoch that captured them. Inject
             // everything and go straight to the thread pool.
             // ----------------------------------------------------------
-            for task in tasks {
-                pool.inject(task);
+            Start::Frontier(tasks) => {
+                for task in tasks {
+                    pool.inject(task);
+                }
+                RunStats::new()
             }
-            RunStats::new()
-        } else {
             // ----------------------------------------------------------
             // Phase 1 — serial prefix: identical across all threads (the
             // paper has every thread redo it; we run it once on the main
             // thread and count it once, so totals match the serial run
-            // exactly). The monitor already supervises this phase: a
-            // wall-clock limit expiring mid-prefix stops it within a
-            // tick, and a checkpoint pause ends it via `pool.is_done()`.
+            // exactly). Until I_0 every frame has at most one pending
+            // branch, so the prefix is a single path of at most one state
+            // per taxon: it runs before the monitor starts, and the
+            // wall-clock rule is checked when its counters flush. A run
+            // that ends here (a 1-state budget, a tiny stand) never
+            // starts a thread.
             // ----------------------------------------------------------
-            let state = new_state(problem, initial, config);
-            let mut prefix_ex = Explorer::new_root(state);
-            let mut prefix_local = LocalCounters::new(&global, pcfg.flush);
-            loop {
-                if global.stopped() || pool.is_done() {
-                    break;
+            Start::Root(state) => {
+                let mut prefix_ex = Explorer::new_root(state);
+                let mut prefix_local = LocalCounters::new(&global, pcfg.flush);
+                loop {
+                    if global.stopped() {
+                        break;
+                    }
+                    if prefix_ex.finished() {
+                        break;
+                    }
+                    if prefix_ex.top().map(|f| f.pending()).unwrap_or(0) >= 2 {
+                        break; // reached the initial-split state I_0
+                    }
+                    count_event(prefix_ex.step(&mut prefix_sink), &mut prefix_local);
                 }
-                if prefix_ex.finished() {
-                    break;
+                let prefix_stats = prefix_local.totals();
+                prefix_local.flush();
+                drop(prefix_local);
+
+                if prefix_ex.finished() || global.stopped() {
+                    // The whole search (or the stopping budget) fit in the
+                    // prefix.
+                    let frontier = if capture_frontier && !prefix_ex.finished() {
+                        prefix_ex
+                            .drain_frontier()
+                            .into_iter()
+                            .map(|(snap, taxon, branches)| Task::new(snap, taxon, branches, 0))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let monitor = finish_monitor();
+                    sinks.push(prefix_sink);
+                    let stats = global.snapshot();
+                    return (
+                        ParallelRunResult {
+                            stats,
+                            stop: global.stop_cause(),
+                            elapsed: started.elapsed(),
+                            threads: pcfg.threads,
+                            initial_tree: initial,
+                            prefix: prefix_stats,
+                            stolen_tasks: 0,
+                            scheduler: EngineReport::empty(pcfg.threads),
+                            workers: vec![WorkerReport::default(); pcfg.threads],
+                            monitor,
+                        },
+                        sinks,
+                        frontier,
+                    );
                 }
-                if prefix_ex.top().map(|f| f.pending()).unwrap_or(0) >= 2 {
-                    break; // reached the initial-split state I_0
+
+                // ----------------------------------------------------------
+                // Phase 2 — initial split: distribute the admissible branches
+                // of I_0's next taxon over the threads as uniformly as
+                // possible (Fig. 2a; with fewer branches than threads the
+                // surplus threads start parked and are fed by work stealing,
+                // the queue-based equivalent of Fig. 2b).
+                // ----------------------------------------------------------
+                let split_frame = prefix_ex.top().expect("I_0 has a frame");
+                let split_taxon = split_frame.taxon;
+                let split_branches: Vec<EdgeId> =
+                    split_frame.branches[split_frame.cursor..].to_vec();
+                // One snapshot of the I_0 state serves every chunk, at depth 0;
+                // workers resume it directly instead of replaying the prefix
+                // path per task. Every frame below the top is exhausted (the
+                // phase-1 loop breaks the moment a frame has ≥2 pending), so
+                // the snapshot + split branches cover the remaining search
+                // space exactly.
+                let split_snapshot = prefix_ex.state().snapshot();
+                drop(prefix_ex);
+
+                let chunks = partition_branches(&split_branches, pcfg.threads);
+                // The initial chunks go through the global injector: any
+                // worker may pick one up, surplus workers park until splits
+                // reach their deques. (If the monitor already shut the pool
+                // down, workers see `done` and exit without touching the
+                // injected tasks.)
+                for branches in chunks {
+                    pool.inject(Task::new(split_snapshot.clone(), split_taxon, branches, 0));
                 }
-                count_event(prefix_ex.step(&mut prefix_sink), &mut prefix_local);
+                drop(split_snapshot);
+                prefix_stats
             }
-            let prefix_stats = prefix_local.totals();
-            prefix_local.flush();
-            drop(prefix_local);
-
-            if prefix_ex.finished() || global.stopped() || pool.is_done() {
-                // The whole search (or the stopping budget, or a
-                // checkpoint pause) fit in the prefix.
-                let frontier = if capture_frontier && !prefix_ex.finished() {
-                    prefix_ex
-                        .drain_frontier()
-                        .into_iter()
-                        .map(|(snap, taxon, branches)| Task::new(snap, taxon, branches, 0))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let monitor = finish_monitor();
-                sinks.push(prefix_sink);
-                let stats = global.snapshot();
-                return (
-                    ParallelRunResult {
-                        stats,
-                        stop: global.stop_cause(),
-                        elapsed: started.elapsed(),
-                        threads: pcfg.threads,
-                        initial_tree: initial,
-                        prefix: prefix_stats,
-                        stolen_tasks: 0,
-                        scheduler: EngineReport::empty(pcfg.threads),
-                        workers: vec![WorkerReport::default(); pcfg.threads],
-                        monitor,
-                    },
-                    sinks,
-                    frontier,
-                );
-            }
-
-            // ----------------------------------------------------------
-            // Phase 2 — initial split: distribute the admissible branches
-            // of I_0's next taxon over the threads as uniformly as
-            // possible (Fig. 2a; with fewer branches than threads the
-            // surplus threads start parked and are fed by work stealing,
-            // the queue-based equivalent of Fig. 2b).
-            // ----------------------------------------------------------
-            let split_frame = prefix_ex.top().expect("I_0 has a frame");
-            let split_taxon = split_frame.taxon;
-            let split_branches: Vec<EdgeId> = split_frame.branches[split_frame.cursor..].to_vec();
-            // One snapshot of the I_0 state serves every chunk, at depth 0;
-            // workers resume it directly instead of replaying the prefix
-            // path per task. Every frame below the top is exhausted (the
-            // phase-1 loop breaks the moment a frame has ≥2 pending), so
-            // the snapshot + split branches cover the remaining search
-            // space exactly.
-            let split_snapshot = prefix_ex.state().snapshot();
-            drop(prefix_ex);
-
-            let chunks = partition_branches(&split_branches, pcfg.threads);
-            // The initial chunks go through the global injector: any
-            // worker may pick one up, surplus workers park until splits
-            // reach their deques. (If the monitor already shut the pool
-            // down, workers see `done` and exit without touching the
-            // injected tasks.)
-            for branches in chunks {
-                pool.inject(Task::new(split_snapshot.clone(), split_taxon, branches, 0));
-            }
-            drop(split_snapshot);
-            prefix_stats
         };
 
         // --------------------------------------------------------------
-        // Phase 3 — thread pool with per-worker steal deques.
+        // Phase 3 — thread pool with per-worker steal deques, supervised
+        // by the run monitor.
         // --------------------------------------------------------------
-        let mut worker_sinks: Vec<Option<S>> =
-            (0..pcfg.threads).map(|t| Some(make_sink(1 + t))).collect();
-        // Workers get their own (inner) scope so the per-run borrows stay
-        // local; the monitor in the outer scope keeps supervising them
-        // throughout.
-        let results: Vec<(WorkerReport, S, Vec<Task>)> = std::thread::scope(|wscope| {
-            let mut handles = Vec::with_capacity(pcfg.threads);
-            for (tid, sink_slot) in worker_sinks.iter_mut().enumerate() {
-                let sink = sink_slot.take().expect("sink prepared per worker");
-                let pool = &pool;
-                let global = &global;
-                let started_at = started;
-                handles.push(wscope.spawn(move || {
-                    worker_loop(
-                        problem,
-                        pcfg,
-                        pool.worker(tid),
-                        global,
-                        sink,
-                        started_at,
-                        capture_frontier,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+        if let Some(shared) = &monitor_shared {
+            spawn_monitor(scope, shared, &global, &pool, started, checkpoint_every);
+        }
+        let run_worker = |tid: usize, sink: S| {
+            worker_loop(
+                problem,
+                pcfg,
+                pool.worker(tid),
+                &global,
+                sink,
+                started,
+                capture_frontier,
+            )
+        };
+        let results: Vec<(WorkerReport, S, Vec<Task>)> = if pcfg.threads == 1 {
+            // A single worker runs on the calling thread: no spawn, and
+            // its allocations share the prefix's heap arena.
+            vec![run_worker(0, make_sink(1))]
+        } else {
+            let worker_sinks: Vec<S> = (0..pcfg.threads).map(|t| make_sink(1 + t)).collect();
+            // Workers get their own (inner) scope so the per-run borrows
+            // stay local; the monitor in the outer scope keeps supervising
+            // them throughout.
+            std::thread::scope(|wscope| {
+                let run_worker = &run_worker;
+                let handles: Vec<_> = worker_sinks
+                    .into_iter()
+                    .enumerate()
+                    .map(|(tid, sink)| wscope.spawn(move || run_worker(tid, sink)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked"))
+                    .collect()
+            })
+        };
         let monitor = finish_monitor();
 
         let sched_counts = pool.scheduler_counts();
@@ -525,15 +554,25 @@ where
     Ok((result, returned_sinks, frontier))
 }
 
+/// Where an epoch starts exploring.
+// One value per epoch, moved once: boxing the large variant buys nothing.
+#[allow(clippy::large_enum_variant)]
+enum Start<'p> {
+    /// A fresh run: the root state, from which the serial prefix runs.
+    Root(SearchState<'p>),
+    /// A resumed run: the pending tasks a previous epoch captured.
+    Frontier(Vec<Task>),
+}
+
 fn new_state<'p>(
     problem: &'p StandProblem,
     initial: usize,
     config: &GentriusConfig,
-) -> SearchState<'p> {
+) -> Result<SearchState<'p>, ProblemError> {
     let mut state = SearchState::new(problem, initial, &config.taxon_order)
-        .expect("validated problem must build a state");
+        .map_err(ProblemError::BadTaxonOrder)?;
     state.enable_mapping(config.mapping);
-    state
+    Ok(state)
 }
 
 #[inline]

@@ -26,7 +26,8 @@
 //! * **batched atomic counters** for stand trees / intermediate states /
 //!   dead ends, with the count-based stopping rules evaluated on flush
 //!   (count limits may be overshot by at most one batch per thread, as in
-//!   the paper). The wall-clock rule is enforced by the engine's **run
+//!   the paper; a single worker flushes every count and stops exactly
+//!   where the serial driver does). The wall-clock rule is enforced by the engine's **run
 //!   monitor** ([`obs::monitor`]): a supervisor thread that ticks every
 //!   ~50 ms, raises `StopCause::TimeLimit` when the budget runs out, and
 //!   wakes parked workers — flush-side checks alone cannot bound time

@@ -294,47 +294,7 @@ impl Container {
         if &magic != MAGIC {
             return Err(format_err(0, "not a gentrius stand container (bad magic)"));
         }
-        // Header: read a bounded chunk and parse varints out of it. Headers
-        // are small (names only); 1 MiB of labels is far beyond any input.
-        let mut head = vec![0u8; 1 << 20];
-        let got = read_up_to(&mut file, &mut head)?;
-        head.truncate(got);
-        let mut pos = 0usize;
-        let version =
-            read_u64(&head, &mut pos).ok_or_else(|| format_err(8, "truncated header (version)"))?;
-        if version != VERSION {
-            return Err(format_err(
-                8,
-                format!("unsupported container version {version} (reader supports {VERSION})"),
-            ));
-        }
-        let n = read_u64(&head, &mut pos)
-            .ok_or_else(|| format_err(8 + pos as u64, "truncated header (taxon count)"))?;
-        let mut taxa = TaxonSet::new();
-        for i in 0..n {
-            let len = read_u64(&head, &mut pos).ok_or_else(|| {
-                format_err(
-                    8 + pos as u64,
-                    format!("truncated header (name {i} length)"),
-                )
-            })? as usize;
-            let end = pos
-                .checked_add(len)
-                .filter(|&e| e <= head.len())
-                .ok_or_else(|| format_err(8 + pos as u64, "truncated header (name bytes)"))?;
-            let name = std::str::from_utf8(&head[pos..end])
-                .map_err(|_| format_err(8 + pos as u64, "taxon name is not UTF-8"))?;
-            let id = taxa.intern(name);
-            if id.index() as u64 != i {
-                return Err(format_err(
-                    8 + pos as u64,
-                    format!("duplicate taxon name '{name}' in header"),
-                ));
-            }
-            pos = end;
-        }
-        read_u64(&head, &mut pos)
-            .ok_or_else(|| format_err(8 + pos as u64, "truncated header (block capacity)"))?;
+        let taxa = read_header(&mut file)?;
 
         // Footer: fixed 16-byte trailer points at the index.
         let file_len = file.seek(SeekFrom::End(0))?;
@@ -388,8 +348,8 @@ impl Container {
         }
         Ok(Container {
             file,
+            code_len: taxa.len().saturating_sub(2),
             taxa,
-            code_len: (n as usize).saturating_sub(2),
             index,
             total,
             cache: None,
@@ -609,6 +569,73 @@ impl Container {
 
 /// Reads as many bytes as the reader will give (for bounded-window parses
 /// where EOF before the buffer fills is expected).
+/// First read size for a container header. Headers hold taxon names
+/// only, so this fits any realistic input; a header that does not fit is
+/// read again with [`MAX_HEADER`] bytes.
+const HEADER_CHUNK: usize = 64 << 10;
+/// Largest header read: 1 MiB of labels is far beyond any input.
+const MAX_HEADER: usize = 1 << 20;
+
+/// Reads and parses the header that follows the magic. Reading a
+/// header-sized chunk, not a fixed 1 MiB, keeps opening a large container
+/// (`stand cat`, a segment merge) from touching a megabyte of memory.
+fn read_header(file: &mut File) -> Result<TaxonSet, StandfileError> {
+    let mut len = HEADER_CHUNK;
+    loop {
+        file.seek(SeekFrom::Start(8))?;
+        let mut head = vec![0u8; len];
+        let got = read_up_to(file, &mut head)?;
+        head.truncate(got);
+        match parse_header(&head) {
+            // A full chunk may have cut the names short: retry with more.
+            Err(_) if got == len && len < MAX_HEADER => len = MAX_HEADER,
+            parsed => return parsed,
+        }
+    }
+}
+
+/// Parses the header bytes after the magic: version, taxon names and
+/// block capacity. Error offsets are file offsets.
+fn parse_header(head: &[u8]) -> Result<TaxonSet, StandfileError> {
+    let mut pos = 0usize;
+    let version =
+        read_u64(head, &mut pos).ok_or_else(|| format_err(8, "truncated header (version)"))?;
+    if version != VERSION {
+        return Err(format_err(
+            8,
+            format!("unsupported container version {version} (reader supports {VERSION})"),
+        ));
+    }
+    let n = read_u64(head, &mut pos)
+        .ok_or_else(|| format_err(8 + pos as u64, "truncated header (taxon count)"))?;
+    let mut taxa = TaxonSet::new();
+    for i in 0..n {
+        let len = read_u64(head, &mut pos).ok_or_else(|| {
+            format_err(
+                8 + pos as u64,
+                format!("truncated header (name {i} length)"),
+            )
+        })? as usize;
+        let end = pos
+            .checked_add(len)
+            .filter(|&e| e <= head.len())
+            .ok_or_else(|| format_err(8 + pos as u64, "truncated header (name bytes)"))?;
+        let name = std::str::from_utf8(&head[pos..end])
+            .map_err(|_| format_err(8 + pos as u64, "taxon name is not UTF-8"))?;
+        let id = taxa.intern(name);
+        if id.index() as u64 != i {
+            return Err(format_err(
+                8 + pos as u64,
+                format!("duplicate taxon name '{name}' in header"),
+            ));
+        }
+        pos = end;
+    }
+    read_u64(head, &mut pos)
+        .ok_or_else(|| format_err(8 + pos as u64, "truncated header (block capacity)"))?;
+    Ok(taxa)
+}
+
 fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {

@@ -207,6 +207,32 @@ fn hostile_labels_survive_the_header() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A header longer than the reader's first chunk (64 KiB) is read again
+/// in full, not cut short.
+#[test]
+fn header_longer_than_the_first_read_opens() {
+    let mut taxa = TaxonSet::new();
+    for i in 0..200 {
+        taxa.intern(&format!("{i:03}-{}", "x".repeat(1000)));
+    }
+    let (_, trees, _) = random_trees(200, 3, 7);
+    let newicks: Vec<String> = trees.iter().map(|t| to_newick(t, &taxa)).collect();
+    let path = tmp("long-header.stand");
+    let mut sink = ContainerSink::create(&path, &taxa);
+    for t in &trees {
+        sink.stand_tree(t);
+    }
+    sink.finish().expect("finish");
+    assert!(std::fs::metadata(&path).expect("stat").len() > 128 << 10);
+
+    let mut c = Container::open(&path).expect("open");
+    assert_eq!(c.taxa().len(), 200);
+    for (i, expect) in newicks.iter().enumerate() {
+        assert_eq!(&c.newick(i as u64).expect("newick"), expect);
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn open_rejects_garbage_and_truncation() {
     let path = tmp("garbage.stand");

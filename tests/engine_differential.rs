@@ -608,6 +608,46 @@ fn state_limit_fires_in_both_engines_with_bounded_overshoot() {
     }
 }
 
+/// At one thread [`ParallelConfig::with_threads`] flushes every count and
+/// polls the stop flag every step, so the engine stops on exactly the
+/// event the serial driver stops on: identical counters and stop cause,
+/// for complete runs and under stand-tree and state caps that fire
+/// mid-run.
+#[test]
+fn one_thread_engine_stops_exactly_where_serial_does() {
+    let mut capped = 0usize;
+    for d in differential_sweep() {
+        let Ok(p) = d.problem() else { continue };
+        let compare = |max_trees: u64, max_states: u64| {
+            let config = GentriusConfig {
+                stopping: StoppingRules::counts(max_trees, max_states),
+                ..GentriusConfig::default()
+            };
+            let serial = run_serial(&p, &config, &mut CountOnly).expect("serial");
+            let par = run_parallel(&p, &config, &ParallelConfig::with_threads(1)).expect("engine");
+            assert_eq!(
+                (par.stats, par.stop),
+                (serial.stats, serial.stop),
+                "{} max_trees={max_trees} max_states={max_states}",
+                d.name
+            );
+            serial
+        };
+        let full = compare(60_000, 300_000).stats;
+        let (trees, states) = (full.stand_trees, full.intermediate_states);
+        for (max_trees, max_states) in [
+            (1, u64::MAX),
+            ((trees / 3).max(1), u64::MAX),
+            (u64::MAX, 1),
+            (u64::MAX, states / 2 + 1),
+            ((trees / 2).max(1), (states / 3).max(1)),
+        ] {
+            capped += usize::from(compare(max_trees, max_states).stop.is_some());
+        }
+    }
+    assert!(capped >= 100, "only {capped} capped runs compared");
+}
+
 #[test]
 fn time_limit_fires_in_both_engines() {
     // The serial driver only examines the clock every 8192 events, so the
