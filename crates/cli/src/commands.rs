@@ -7,7 +7,7 @@ use crate::args::ParsedArgs;
 use gentrius_core::state::StateSnapshot;
 use gentrius_core::{
     canonical_stand_set, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode, RunStats,
-    StandProblem, StopCause, StoppingRules, TaxonOrderRule,
+    StandProblem, StandSink, StopCause, StoppingRules, TaxonOrderRule,
 };
 use gentrius_datagen::{
     empirical_dataset, simulated_dataset, Dataset, EmpiricalParams, SimulatedParams,
@@ -28,6 +28,7 @@ use phylo::tree::{EdgeId, Tree};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Top-level error type for the CLI.
@@ -96,7 +97,8 @@ export' converts container <-> Newick (the direction is sniffed from the
 input file's magic); 'stand cat' pages trees out of a container by index
 range. Any other output (or --print-trees alone) collects Newick strings
 in memory: at most --max-collect trees (default 10000000) at any thread
-count, with 'truncated: true' plus a warning when the cap drops trees.
+count, drawn from one budget by every worker, so the cap also bounds the
+memory held; 'truncated: true' plus a warning reports dropped trees.
 Every run goes through the work-stealing engine. At --threads 1 it
 updates the counters on every event and checks the stopping rules after
 every step, so a capped run stops exactly where the serial algorithm does;
@@ -810,6 +812,27 @@ fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Collects canonical Newick strings while a budget shared by every
+/// engine context lasts.
+struct CappedCollect<'a> {
+    taxa: &'a TaxonSet,
+    budget: &'a AtomicUsize,
+    out: Vec<String>,
+}
+
+impl StandSink for CappedCollect<'_> {
+    fn stand_tree(&mut self, tree: &Tree) {
+        // ordering: Relaxed — the budget is a plain count; the collected
+        // strings reach the caller through the engine's thread joins.
+        let take = self
+            .budget
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1));
+        if take.is_ok() {
+            self.out.push(to_newick(tree, self.taxa));
+        }
+    }
+}
+
 /// Enumerates a stand. Every run goes through the engine; an output path
 /// ending in `.stand` streams the trees into a container, anything else
 /// collects canonical Newick strings in memory.
@@ -894,15 +917,16 @@ fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
             run_stand_epochs(&taxa, &problem, &config, &pcfg, path, ckpt_every, init)?;
         (r, Vec::new(), csum, notes)
     } else {
-        // Every context may own the whole stand, so each keeps up to the
-        // cap; the cap then applies to the merged set.
-        let cap = if want_collect { max_collect } else { 0 };
-        let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| {
-            CollectNewick::with_cap(&taxa, cap)
+        // The contexts draw on one budget, so the cap bounds the merged
+        // set (and the memory it holds) at any thread count.
+        let budget = AtomicUsize::new(if want_collect { max_collect } else { 0 });
+        let (r, sinks) = run_parallel_with_sinks(&problem, &config, &pcfg, |_| CappedCollect {
+            taxa: &taxa,
+            budget: &budget,
+            out: Vec::new(),
         })
         .map_err(|e| CliError(e.to_string()))?;
-        let mut newicks = canonical_stand_set(sinks.into_iter().map(|s| s.out));
-        newicks.truncate(cap);
+        let newicks = canonical_stand_set(sinks.into_iter().map(|s| s.out));
         (r, newicks, None, String::new())
     };
     notes.push_str(&write_exports(a, &r, &pcfg)?);
@@ -1002,7 +1026,6 @@ fn cmd_stand_export(a: &ParsedArgs) -> Result<String, CliError> {
         let (taxa, trees) = parse_forest(text.lines()).map_err(|e| CliError(e.to_string()))?;
         let mut sink = ContainerSink::create(Path::new(output), &taxa);
         for t in &trees {
-            use gentrius_core::StandSink as _;
             sink.stand_tree(t);
         }
         let s = sink
@@ -1818,6 +1841,27 @@ mod tests {
         let out = run_strs(&["verify", "--trees", p.to_str().unwrap(), "--threads", "1"]).unwrap();
         assert!(out.contains("(1 threads)"), "{out}");
         assert!(out.contains("verdict: PASS"), "{out}");
+    }
+
+    #[test]
+    fn collectors_share_one_budget() {
+        let taxa = TaxonSet::with_synthetic(4);
+        let t = Tree::two_leaf(4, TaxonId(0), TaxonId(1));
+        let budget = AtomicUsize::new(3);
+        let mut sinks: Vec<CappedCollect> = (0..2)
+            .map(|_| CappedCollect {
+                taxa: &taxa,
+                budget: &budget,
+                out: Vec::new(),
+            })
+            .collect();
+        for _ in 0..5 {
+            for s in &mut sinks {
+                s.stand_tree(&t);
+            }
+        }
+        let kept: Vec<usize> = sinks.iter().map(|s| s.out.len()).collect();
+        assert_eq!(kept, [2, 1]);
     }
 
     #[test]

@@ -191,25 +191,31 @@ impl GlobalCounters {
 
     /// Adds a batch to the globals and evaluates the stopping rules.
     ///
-    /// States are published before dead ends (see
+    /// A flush that carries any count compares both count limits with the
+    /// current totals, also a limit whose counter it left unchanged: the
+    /// serial driver checks both after every event, so a limit of 0 stops
+    /// on the first event. States are published before dead ends (see
     /// [`GlobalCounters::snapshot`] for the pairing). The clock check at
     /// the end is only the fast path for rule 3 — see the module docs.
     fn add_and_check(&self, trees: u64, states: u64, dead: u64) {
-        if trees > 0 {
-            let total = self.stand_trees.fetch_add(trees, Ordering::AcqRel) + trees;
-            if let Some(max) = self.rules.max_stand_trees {
-                if total >= max {
-                    self.raise_stop(StopCause::StandTreeLimit);
-                }
-            }
+        let counted = trees > 0 || states > 0 || dead > 0;
+        let trees_total = add_total(&self.stand_trees, trees);
+        if counted
+            && self
+                .rules
+                .max_stand_trees
+                .is_some_and(|max| trees_total >= max)
+        {
+            self.raise_stop(StopCause::StandTreeLimit);
         }
-        if states > 0 {
-            let total = self.intermediate_states.fetch_add(states, Ordering::AcqRel) + states;
-            if let Some(max) = self.rules.max_intermediate_states {
-                if total >= max {
-                    self.raise_stop(StopCause::StateLimit);
-                }
-            }
+        let states_total = add_total(&self.intermediate_states, states);
+        if counted
+            && self
+                .rules
+                .max_intermediate_states
+                .is_some_and(|max| states_total >= max)
+        {
+            self.raise_stop(StopCause::StateLimit);
         }
         if dead > 0 {
             self.dead_ends.fetch_add(dead, Ordering::AcqRel);
@@ -217,6 +223,17 @@ impl GlobalCounters {
         if self.time_limit_exceeded() {
             self.raise_stop(StopCause::TimeLimit);
         }
+    }
+}
+
+/// Adds `n` to `counter` and returns the new total; an empty batch only
+/// reads it.
+#[inline]
+fn add_total(counter: &AtomicU64, n: u64) -> u64 {
+    if n > 0 {
+        counter.fetch_add(n, Ordering::AcqRel) + n
+    } else {
+        counter.load(Ordering::Acquire)
     }
 }
 

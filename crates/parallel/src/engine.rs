@@ -477,39 +477,35 @@ where
         if let Some(shared) = &monitor_shared {
             spawn_monitor(scope, shared, &global, &pool, started, checkpoint_every);
         }
-        let run_worker = |tid: usize, sink: S| {
-            worker_loop(
-                problem,
-                pcfg,
-                pool.worker(tid),
-                &global,
-                sink,
-                started,
-                capture_frontier,
-            )
-        };
-        let results: Vec<(WorkerReport, S, Vec<Task>)> = if pcfg.threads == 1 {
-            // A single worker runs on the calling thread: no spawn, and
-            // its allocations share the prefix's heap arena.
-            vec![run_worker(0, make_sink(1))]
-        } else {
-            let worker_sinks: Vec<S> = (0..pcfg.threads).map(|t| make_sink(1 + t)).collect();
-            // Workers get their own (inner) scope so the per-run borrows
-            // stay local; the monitor in the outer scope keeps supervising
-            // them throughout.
-            std::thread::scope(|wscope| {
-                let run_worker = &run_worker;
-                let handles: Vec<_> = worker_sinks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(tid, sink)| wscope.spawn(move || run_worker(tid, sink)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        };
+        let mut worker_sinks: Vec<Option<S>> =
+            (0..pcfg.threads).map(|t| Some(make_sink(1 + t))).collect();
+        // Workers get their own (inner) scope so the per-run borrows stay
+        // local; the monitor in the outer scope keeps supervising them
+        // throughout.
+        let results: Vec<(WorkerReport, S, Vec<Task>)> = std::thread::scope(|wscope| {
+            let mut handles = Vec::with_capacity(pcfg.threads);
+            for (tid, sink_slot) in worker_sinks.iter_mut().enumerate() {
+                let sink = sink_slot.take().expect("sink prepared per worker");
+                let pool = &pool;
+                let global = &global;
+                let started_at = started;
+                handles.push(wscope.spawn(move || {
+                    worker_loop(
+                        problem,
+                        pcfg,
+                        pool.worker(tid),
+                        global,
+                        sink,
+                        started_at,
+                        capture_frontier,
+                    )
+                }));
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
         let monitor = finish_monitor();
 
         let sched_counts = pool.scheduler_counts();

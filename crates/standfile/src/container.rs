@@ -35,7 +35,7 @@ use phylo::phylo2vec;
 use phylo::taxa::{TaxonId, TaxonSet};
 use phylo::tree::Tree;
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Leading file magic (version byte folded into the name).
@@ -567,75 +567,90 @@ impl Container {
     }
 }
 
-/// Reads as many bytes as the reader will give (for bounded-window parses
-/// where EOF before the buffer fills is expected).
-/// First read size for a container header. Headers hold taxon names
-/// only, so this fits any realistic input; a header that does not fit is
-/// read again with [`MAX_HEADER`] bytes.
-const HEADER_CHUNK: usize = 64 << 10;
-/// Largest header read: 1 MiB of labels is far beyond any input.
-const MAX_HEADER: usize = 1 << 20;
+/// Largest header accepted: 1 MiB of labels is far beyond any input.
+const MAX_HEADER: u64 = 1 << 20;
 
-/// Reads and parses the header that follows the magic. Reading a
-/// header-sized chunk, not a fixed 1 MiB, keeps opening a large container
-/// (`stand cat`, a segment merge) from touching a megabyte of memory.
+/// Reads and parses the header that follows the magic: version, taxon
+/// names and block capacity. It streams through a small buffer, so
+/// opening a large container (`stand cat`, a segment merge) reads only
+/// the bytes the header occupies. Error offsets are file offsets.
 fn read_header(file: &mut File) -> Result<TaxonSet, StandfileError> {
-    let mut len = HEADER_CHUNK;
-    loop {
-        file.seek(SeekFrom::Start(8))?;
-        let mut head = vec![0u8; len];
-        let got = read_up_to(file, &mut head)?;
-        head.truncate(got);
-        match parse_header(&head) {
-            // A full chunk may have cut the names short: retry with more.
-            Err(_) if got == len && len < MAX_HEADER => len = MAX_HEADER,
-            parsed => return parsed,
-        }
-    }
-}
-
-/// Parses the header bytes after the magic: version, taxon names and
-/// block capacity. Error offsets are file offsets.
-fn parse_header(head: &[u8]) -> Result<TaxonSet, StandfileError> {
-    let mut pos = 0usize;
-    let version =
-        read_u64(head, &mut pos).ok_or_else(|| format_err(8, "truncated header (version)"))?;
+    let mut head = HeaderReader {
+        r: BufReader::new(file.take(MAX_HEADER)),
+        pos: 8,
+    };
+    let version = head.varint(format_args!("version"))?;
     if version != VERSION {
         return Err(format_err(
             8,
             format!("unsupported container version {version} (reader supports {VERSION})"),
         ));
     }
-    let n = read_u64(head, &mut pos)
-        .ok_or_else(|| format_err(8 + pos as u64, "truncated header (taxon count)"))?;
+    let n = head.varint(format_args!("taxon count"))?;
     let mut taxa = TaxonSet::new();
+    let mut name = Vec::new();
     for i in 0..n {
-        let len = read_u64(head, &mut pos).ok_or_else(|| {
-            format_err(
-                8 + pos as u64,
-                format!("truncated header (name {i} length)"),
-            )
-        })? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= head.len())
-            .ok_or_else(|| format_err(8 + pos as u64, "truncated header (name bytes)"))?;
-        let name = std::str::from_utf8(&head[pos..end])
-            .map_err(|_| format_err(8 + pos as u64, "taxon name is not UTF-8"))?;
+        let len = head.varint(format_args!("name {i} length"))?;
+        let at = head.pos;
+        if len > MAX_HEADER {
+            return Err(format_err(at, "truncated header (name bytes)"));
+        }
+        name.resize(len as usize, 0);
+        head.bytes(&mut name, format_args!("name bytes"))?;
+        let name =
+            std::str::from_utf8(&name).map_err(|_| format_err(at, "taxon name is not UTF-8"))?;
         let id = taxa.intern(name);
         if id.index() as u64 != i {
             return Err(format_err(
-                8 + pos as u64,
+                at,
                 format!("duplicate taxon name '{name}' in header"),
             ));
         }
-        pos = end;
     }
-    read_u64(head, &mut pos)
-        .ok_or_else(|| format_err(8 + pos as u64, "truncated header (block capacity)"))?;
+    head.varint(format_args!("block capacity"))?;
     Ok(taxa)
 }
 
+/// A header being read: the bounded reader and the file offset reached.
+struct HeaderReader<R> {
+    r: R,
+    pos: u64,
+}
+
+impl<R: Read> HeaderReader<R> {
+    /// Fills `buf`; `what` names the field in the error.
+    fn bytes(&mut self, buf: &mut [u8], what: std::fmt::Arguments) -> Result<(), StandfileError> {
+        match self.r.read_exact(buf) {
+            Ok(()) => {
+                self.pos += buf.len() as u64;
+                Ok(())
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                Err(format_err(self.pos, format!("truncated header ({what})")))
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Reads one varint; `what` names the field in the error.
+    fn varint(&mut self, what: std::fmt::Arguments) -> Result<u64, StandfileError> {
+        let at = self.pos;
+        let mut buf = [0u8; 10];
+        let mut len = 0;
+        while len < buf.len() {
+            self.bytes(&mut buf[len..=len], what)?;
+            len += 1;
+            if buf[len - 1] & 0x80 == 0 {
+                break;
+            }
+        }
+        read_u64(&buf[..len], &mut 0)
+            .ok_or_else(|| format_err(at, format!("malformed header ({what})")))
+    }
+}
+
+/// Reads as many bytes as the reader will give (for bounded-window parses
+/// where EOF before the buffer fills is expected).
 fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
@@ -651,12 +666,26 @@ fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
 
 /// Merges per-worker segment containers into one container at `dest`, in
 /// segment order, deleting each segment after it is copied. Missing segment
-/// paths are skipped (a worker that never emitted creates no file).
+/// paths are skipped (a worker that never emitted creates no file). A lone
+/// segment over `taxa` is renamed into place instead of copied block by
+/// block: its blocks and index are the ones the copy would write.
 pub fn merge_segments(
     dest: &Path,
     taxa: &TaxonSet,
     segments: &[PathBuf],
 ) -> Result<ContainerSummary, StandfileError> {
+    if let [only] = segments.iter().filter(|s| s.exists()).collect::<Vec<_>>()[..] {
+        let src = Container::open(only)?;
+        if src.taxa_names().iter().eq(taxa.iter().map(|(_, n)| n)) {
+            let summary = ContainerSummary {
+                trees: src.len(),
+                blocks: src.block_count() as u64,
+            };
+            drop(src);
+            std::fs::rename(only, dest)?;
+            return Ok(summary);
+        }
+    }
     let mut writer = ContainerWriter::create(dest, taxa)?;
     for seg in segments {
         if !seg.exists() {

@@ -148,6 +148,40 @@ fn merge_concatenates_segments_in_order_and_deletes_them() {
 }
 
 #[test]
+fn merge_of_a_lone_segment_moves_it_into_place() {
+    let (taxa, trees, newicks) = random_trees(10, 40, 11);
+    let seg_paths: Vec<PathBuf> = (0..3).map(|i| tmp(&format!("lone.seg{i}"))).collect();
+    let mut sink = ContainerSink::create(&seg_paths[1], &taxa);
+    for t in &trees {
+        sink.stand_tree(t);
+    }
+    sink.finish().expect("segment finish");
+    let bytes = std::fs::read(&seg_paths[1]).expect("read segment");
+
+    // The copying merge of the same segment writes the same bytes.
+    let copy_seg = tmp("lone-copy.seg");
+    std::fs::write(&copy_seg, &bytes).expect("write copy");
+    let other = tmp("lone-other.seg");
+    ContainerSink::create(&other, &taxa)
+        .finish()
+        .expect("empty segment finish");
+    let copied = tmp("lone-copied.stand");
+    merge_segments(&copied, &taxa, &[copy_seg, other]).expect("copying merge");
+
+    let dest = tmp("lone.stand");
+    let summary = merge_segments(&dest, &taxa, &seg_paths).expect("merge");
+    assert_eq!(summary.trees, 40);
+    assert!(!seg_paths[1].exists(), "the lone segment was moved");
+    assert_eq!(std::fs::read(&dest).expect("read merged"), bytes);
+    assert_eq!(std::fs::read(&copied).expect("read copied"), bytes);
+    let mut c = Container::open(&dest).expect("open merged");
+    assert_eq!(summary.blocks, c.block_count() as u64);
+    assert_eq!(c.newick(39).expect("newick"), newicks[39]);
+    std::fs::remove_file(&dest).ok();
+    std::fs::remove_file(&copied).ok();
+}
+
+#[test]
 fn merge_rejects_mismatched_taxa() {
     let (taxa_a, trees, _) = random_trees(8, 3, 1);
     let taxa_b = TaxonSet::with_synthetic(9);

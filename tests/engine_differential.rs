@@ -612,7 +612,7 @@ fn state_limit_fires_in_both_engines_with_bounded_overshoot() {
 /// polls the stop flag every step, so the engine stops on exactly the
 /// event the serial driver stops on: identical counters and stop cause,
 /// for complete runs and under stand-tree and state caps that fire
-/// mid-run.
+/// mid-run or (a cap of 0) on the first event.
 #[test]
 fn one_thread_engine_stops_exactly_where_serial_does() {
     let mut capped = 0usize;
@@ -636,6 +636,8 @@ fn one_thread_engine_stops_exactly_where_serial_does() {
         let full = compare(60_000, 300_000).stats;
         let (trees, states) = (full.stand_trees, full.intermediate_states);
         for (max_trees, max_states) in [
+            (0, u64::MAX),
+            (u64::MAX, 0),
             (1, u64::MAX),
             ((trees / 3).max(1), u64::MAX),
             (u64::MAX, 1),
