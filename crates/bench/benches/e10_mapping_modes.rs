@@ -4,7 +4,7 @@
 //! updating the double-edge mappings on taxon insertion/removal, and lists
 //! redesigning them as future work. Our two mapping engines span that
 //! design space: `Recompute` rebuilds projections per state, `EdgeIndexed`
-//! patches flat, arena-interned projections per edit (the paper's
+//! patches flat, clade-keyed projections per edit (the paper's
 //! keep-alive approach, with the admissibility test reduced to integer
 //! compares). This bench measures real wall-clock state throughput for
 //! both on several instances.

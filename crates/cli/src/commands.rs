@@ -64,10 +64,8 @@ USAGE:
                    [--mapping recompute|edge-indexed]
                    [--print-trees] [--output FILE[.stand]] [--max-collect N]
                    [--metrics-json FILE] [--trace-json FILE]
-                   [--no-adaptive-split] [--stop-poll-stride N]
                    [--checkpoint-every SECS]
   gentrius stand resume FILE.standckpt [--threads N] [--checkpoint-every SECS]
-                   [--no-adaptive-split] [--stop-poll-stride N]
                    [--metrics-json FILE] [--trace-json FILE]
   gentrius stand export --input FILE --output FILE
   gentrius stand cat FILE.stand [--from N] [--count M]
@@ -115,10 +113,6 @@ container is identical to an uninterrupted run's.
 Observability: --metrics-json writes a schema-versioned run-metrics JSON
 document; --trace-json writes a Chrome-trace-event timeline (load it in
 Perfetto or chrome://tracing). Neither changes the counters or the stand.
-Scheduler tuning: --no-adaptive-split disables the steal-to-execute
-granularity controller (workers then always publish stealable frames);
---stop-poll-stride N polls the stop flag every N steps instead of the
-default (1 at --threads 1, else 64).
 ";
 
 /// Every flag that takes no value, across all subcommands.
@@ -126,7 +120,6 @@ const BOOL_FLAGS: &[&str] = &[
     "no-dynamic",
     "print-trees",
     "no-steal",
-    "no-adaptive-split",
     "trace",
     "likelihood",
     "help",
@@ -160,7 +153,6 @@ const VALUE_FLAGS: &[&str] = &[
     "scenario",
     "seed",
     "species",
-    "stop-poll-stride",
     "threads",
     "trace-json",
     "trees",
@@ -437,9 +429,12 @@ fn build_checkpoint(
 
 /// Rebuilds the problem, config and pending tasks from a decoded
 /// checkpoint. Every reconstructed snapshot is re-validated against the
-/// reconstructed problem ([`StateSnapshot::from_parts`]), so a checkpoint
-/// that passed the checksum but carries an inconsistent frontier is
-/// rejected with an error rather than enumerating wrong stands.
+/// reconstructed problem ([`StateSnapshot::from_parts`]: the agile tree
+/// must be compatible with every constraint) and every pending task's
+/// branches against its snapshot ([`StateSnapshot::check_task`]: live and
+/// admissible edges), so a checkpoint that passed the checksum but carries
+/// an inconsistent frontier is rejected with an error rather than
+/// enumerating wrong stands.
 fn restore_checkpoint(
     c: &Checkpoint,
 ) -> Result<(TaxonSet, StandProblem, GentriusConfig, Vec<Task>), CliError> {
@@ -473,11 +468,10 @@ fn restore_checkpoint(
         let tree = Tree::from_arena_dump(&t.tree).map_err(|e| bad(e.to_string()))?;
         let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
         let snap = StateSnapshot::from_parts(&problem, tree, remaining, c.order_code, c.mapping)
-            .map_err(bad)?;
-        if !t.branches.is_empty() && !snap.remaining().contains(&TaxonId(t.taxon)) {
-            return Err(bad(format!("pending taxon {} is not remaining", t.taxon)));
-        }
+            .map_err(|e| bad(e.to_string()))?;
         let branches: Vec<EdgeId> = t.branches.iter().map(|&x| EdgeId(x)).collect();
+        snap.check_task(&problem, TaxonId(t.taxon), &branches)
+            .map_err(|e| bad(e.to_string()))?;
         tasks.push(Task::new(
             snap,
             TaxonId(t.taxon),
@@ -637,15 +631,11 @@ fn threads_arg(a: &ParsedArgs) -> Result<Option<usize>, CliError> {
 }
 
 /// The engine settings shared by `stand` and `stand resume`: the defaults
-/// for `threads` workers plus the tracing and scheduler-tuning flags.
-fn parallel_config(a: &ParsedArgs, threads: usize) -> Result<ParallelConfig, CliError> {
+/// for `threads` workers, with span tracing when a trace is exported.
+fn parallel_config(a: &ParsedArgs, threads: usize) -> ParallelConfig {
     let mut pcfg = ParallelConfig::with_threads(threads);
     pcfg.trace = a.has("trace-json");
-    pcfg.adaptive_split = !a.has("no-adaptive-split");
-    pcfg.stop_poll_stride = a
-        .get_parsed("stop-poll-stride", pcfg.stop_poll_stride)
-        .map_err(|e| CliError(e.to_string()))?;
-    Ok(pcfg)
+    pcfg
 }
 
 /// Writes the `--metrics-json` and `--trace-json` exports of a finished
@@ -785,7 +775,7 @@ fn cmd_stand_resume(a: &ParsedArgs) -> Result<String, CliError> {
         .unwrap();
     }
 
-    let pcfg = parallel_config(a, threads)?;
+    let pcfg = parallel_config(a, threads);
     let (r, csum, mut notes) = run_stand_epochs(
         &taxa,
         &problem,
@@ -905,7 +895,7 @@ fn cmd_stand(a: &ParsedArgs) -> Result<String, CliError> {
         }
     }
 
-    let pcfg = parallel_config(a, threads)?;
+    let pcfg = parallel_config(a, threads);
     let (r, newicks, csum, mut notes) = if let Some(path) = container_output {
         let init = EpochInit {
             gen: 0,
@@ -1759,38 +1749,6 @@ mod tests {
     }
 
     #[test]
-    fn stand_tuning_flags_parse_and_preserve_the_stand_set() {
-        let p = write_tmp(
-            "tuning.nwk",
-            "((A,B),(C,D));\n((A,E),(F,G));\n((C,F),(H,I));\n",
-        );
-        let base = run_strs(&["stand", "--trees", p.to_str().unwrap(), "--print-trees"]).unwrap();
-        let tuned = run_strs(&[
-            "stand",
-            "--trees",
-            p.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--print-trees",
-            "--no-adaptive-split",
-            "--stop-poll-stride",
-            "8",
-        ])
-        .unwrap();
-        // The tuning knobs change scheduling, never results:
-        // the printed stand set (every line ending in ';') must match the
-        // serial default exactly.
-        let trees = |s: &str| {
-            s.lines()
-                .filter(|l| l.ends_with(';'))
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(trees(&base), trees(&tuned));
-        assert!(tuned.contains("scheduler: "), "{tuned}");
-    }
-
-    #[test]
     fn stand_trace_json_spans_match_tasks_executed() {
         let p = write_tmp(
             "tracejson.nwk",
@@ -2371,6 +2329,63 @@ mod tests {
         let got = sort_lines(run_strs(&["stand", "cat", cpath]).unwrap());
         assert_eq!(got.len(), want.len(), "tree counts diverged");
         assert_eq!(got, want, "resumed container diverged from clean run");
+    }
+
+    /// `stand resume` re-validates what the kernels assume: a
+    /// checksum-valid checkpoint whose agile tree contradicts a constraint,
+    /// or whose pending branch is not admissible, exits with an error.
+    #[test]
+    fn stand_resume_rejects_inconsistent_frontiers() {
+        let (taxa, trees) = parse_forest(["((A,B),(C,D));", "((A,B),(C,E));"]).unwrap();
+        let problem = StandProblem::from_constraints(trees).unwrap();
+        let config = GentriusConfig {
+            initial_tree: InitialTreeRule::Index(0),
+            taxon_order: TaxonOrderRule::Dynamic,
+            stopping: StoppingRules::unlimited(),
+            mapping: MappingMode::EdgeIndexed,
+        };
+        let good = problem.constraints()[0].clone();
+        let swapped = phylo::newick::parse_newick("((A,C),(B,D));", &taxa).unwrap();
+        let e = taxa.get("E").unwrap();
+        let a_pendant = good.adjacent_edges(good.leaf(TaxonId(0)).unwrap())[0];
+        let dir = std::env::temp_dir().join("gentrius-cli-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, agile, branch, want) in [
+            (
+                "incompatible",
+                &swapped,
+                None,
+                "incompatible with constraint 1",
+            ),
+            (
+                "inadmissible",
+                &good,
+                Some(a_pendant),
+                "is not admissible for taxon",
+            ),
+        ] {
+            let snap =
+                StateSnapshot::from_parts(&problem, good.clone(), vec![e], 1, config.mapping)
+                    .unwrap();
+            let task = Task::new(snap, e, branch.into_iter().collect(), 0);
+            let mut ck = build_checkpoint(
+                &taxa,
+                &problem,
+                &config,
+                1,
+                0,
+                RunStats::new(),
+                1,
+                "x.stand",
+                &[],
+                std::slice::from_ref(&task),
+            );
+            ck.tasks[0].tree = agile.dump_arena();
+            let path = dir.join(format!("{name}.standckpt"));
+            ck.write_atomic(&path).unwrap();
+            let err = run_strs(&["stand", "resume", path.to_str().unwrap()]).unwrap_err();
+            assert!(err.0.contains(want), "{name}: {}", err.0);
+        }
     }
 
     #[test]

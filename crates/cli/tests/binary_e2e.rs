@@ -146,6 +146,8 @@ fn error_paths_exit_nonzero() {
         (&["--print-trees=yes"][..], "--print-trees"),
         (&["--emit-batch", "4"][..], "--emit-batch"),
         (&["--coarse-flush"][..], "--coarse-flush"),
+        (&["--no-adaptive-split"][..], "--no-adaptive-split"),
+        (&["--stop-poll-stride", "8"][..], "--stop-poll-stride"),
         (&["--threads", "0"][..], "--threads"),
         (
             &["--threads", "0", "--metrics-json", metrics][..],

@@ -49,8 +49,9 @@ pub enum MappingMode {
     /// Recompute all attachment maps at every state — the oracle engine
     /// every other mode is conformance-checked against.
     Recompute,
-    /// Flat `Vec<SplitId>` kernels indexed by `EdgeId` with arena-interned
-    /// splits, patched on insert/undone on remove (the paper's implementation
+    /// Flat `Vec<CladeKey>` kernels indexed by `EdgeId`, each
+    /// common-subtree edge named by its (smallest taxon, taxon count) clade
+    /// key, patched on insert/undone on remove (the paper's implementation
     /// keeps its mappings alive the same way; §V measures that upkeep at
     /// 15–30% of total runtime): the admissibility test collapses to one
     /// integer compare per (edge, constraint). The default.

@@ -1,4 +1,5 @@
-//! Edge-indexed admissibility kernels — flat, arena-backed projections.
+//! Edge-indexed admissibility kernels — flat projections named by clade
+//! keys.
 //!
 //! The paper's implementation keeps the double-edge mappings alive across
 //! taxon insertions and removals and patches them ("After each taxon
@@ -7,30 +8,34 @@
 //! built so the admissibility test `map[e] == b̂(t)` never compares split
 //! bitsets:
 //!
-//! * per constraint, every split is interned into a [`SplitArena`] so a
-//!   projection is a plain `Vec<SplitId>` indexed by `EdgeId` and the
-//!   targets a plain `Vec<SplitId>` indexed by taxon id — the admissibility
-//!   test is a single `u32` compare per (edge, constraint);
-//! * rebuilds reuse the bitset/traversal scratch of
-//!   [`ProjectionScratch`] and recycle retired id vectors through a pool,
-//!   so the steady-state explore loop allocates nothing per node;
+//! * per constraint, every common-subtree edge is named by its
+//!   [`CladeKey`] — (smallest `C`-taxon below it, number of `C`-taxa below
+//!   it) with both trees rooted at `min C` — so a projection is a plain
+//!   `Vec<CladeKey>` indexed by `EdgeId` and the targets a plain
+//!   `Vec<CladeKey>` indexed by taxon id. The admissibility test is a
+//!   single `u32` compare per (edge, constraint), and no id space has to
+//!   be shared or interned: keys from the agile and the constraint tree
+//!   compare directly;
+//! * rebuilds reuse the fold/traversal scratch of [`ProjectionScratch`]
+//!   and recycle retired key vectors through a pool, so the steady-state
+//!   explore loop allocates nothing per node;
 //! * inserting taxon `t` on edge `e` splits `e` into a near half (keeps
 //!   the id), a far half and a pendant. A constraint not containing `t`
 //!   keeps its common taxa, so all three edges project to whatever `e`
 //!   projected to: an O(1) three-slot `u32` patch, undone for free (the
 //!   slots of freed edge ids are never read and are rewritten before
-//!   reuse). A constraint containing `t` gains a common taxon and gets a
-//!   rebuild, with the old vectors (plus an arena checkpoint) pushed onto
-//!   the undo stack. Per state, only the constraints containing the
-//!   inserted taxon pay a rebuild.
+//!   reuse). A constraint containing `t` gains a common taxon — every
+//!   ancestor clade of `t` grows, and the root moves when `t < min C` —
+//!   and gets a rebuild, with the old vectors pushed onto the undo stack.
+//!   Per state, only the constraints containing the inserted taxon pay a
+//!   rebuild.
 //!
 //! [`crate::config::MappingMode::Recompute`] stays available as the oracle
 //! the conformance matrix checks every kernel against.
 
-use crate::mapping::{project_edges_into, project_targets_into, ProjectionScratch};
+use crate::mapping::{project_edges_into, project_targets_into, CladeKey, ProjectionScratch};
 use crate::problem::StandProblem;
 use phylo::bitset::BitSet;
-use phylo::split::{Split, SplitArena, SplitId};
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, Insertion, Tree};
 
@@ -43,21 +48,17 @@ struct EdgeKernel {
     /// `map`/`targets` contents are meaningless.
     all: bool,
     /// Projection of agile edges onto the common subtree, by `EdgeId`.
-    map: Vec<SplitId>,
+    map: Vec<CladeKey>,
     /// `b̂(t)` for each taxon (by taxon id; `NONE` when absent).
-    targets: Vec<SplitId>,
-    /// Interns both the agile projection and the targets, so the two id
-    /// spaces are directly comparable.
-    arena: SplitArena,
+    targets: Vec<CladeKey>,
 }
 
 /// Undo record for one constraint rebuilt by an insertion.
 struct UndoEntry {
     constraint: u32,
     all: bool,
-    map: Vec<SplitId>,
-    targets: Vec<SplitId>,
-    arena_mark: usize,
+    map: Vec<CladeKey>,
+    targets: Vec<CladeKey>,
 }
 
 /// The live edge-indexed projections for every constraint plus the LIFO
@@ -67,9 +68,9 @@ pub struct EdgeIndexedMaps {
     undo: Vec<Vec<UndoEntry>>,
     scratch: ProjectionScratch,
     /// Scratch for the constraint tree's own edge projection.
-    cons_map: Vec<SplitId>,
-    /// Retired `Vec<SplitId>` buffers, recycled across rebuilds.
-    pool: Vec<Vec<SplitId>>,
+    cons_map: Vec<CladeKey>,
+    /// Retired `Vec<CladeKey>` buffers, recycled across rebuilds.
+    pool: Vec<Vec<CladeKey>>,
     /// Retired undo frames, recycled across insertions.
     frame_pool: Vec<Vec<UndoEntry>>,
 }
@@ -84,26 +85,17 @@ impl EdgeIndexedMaps {
             .iter()
             .map(|cons| {
                 let c = agile.taxa().intersection(cons.taxa());
-                let mut arena = SplitArena::new(agile.universe());
                 let mut map = Vec::new();
                 let mut targets = Vec::new();
-                let projected = project_edges_into(agile, &c, &mut arena, &mut scratch, &mut map);
+                let projected = project_edges_into(agile, &c, &mut scratch, &mut map);
                 if projected {
-                    project_targets_into(
-                        cons,
-                        &c,
-                        &mut arena,
-                        &mut scratch,
-                        &mut cons_map,
-                        &mut targets,
-                    );
+                    project_targets_into(cons, &c, &mut scratch, &mut cons_map, &mut targets);
                 }
                 EdgeKernel {
                     all: !projected,
                     c,
                     map,
                     targets,
-                    arena,
                 }
             })
             .collect();
@@ -123,33 +115,28 @@ impl EdgeIndexedMaps {
         self.per[ci].all
     }
 
-    /// The target id `b̂(t)` of `taxon` under constraint `ci`, or `NONE`
+    /// The target key `b̂(t)` of `taxon` under constraint `ci`, or `NONE`
     /// when the constraint admits every branch or does not pin the taxon.
     #[inline]
-    pub fn target_id(&self, ci: usize, taxon: TaxonId) -> SplitId {
+    pub fn target_id(&self, ci: usize, taxon: TaxonId) -> CladeKey {
         let k = &self.per[ci];
         if k.all {
-            return SplitId::NONE;
+            return CladeKey::NONE;
         }
         k.targets
             .get(taxon.index())
             .copied()
-            .unwrap_or(SplitId::NONE)
+            .unwrap_or(CladeKey::NONE)
     }
 
-    /// The projection id of live edge `e` under constraint `ci`.
+    /// The projection key of live edge `e` under constraint `ci`.
     #[inline]
-    pub fn projection_id(&self, ci: usize, e: EdgeId) -> SplitId {
+    pub fn projection_id(&self, ci: usize, e: EdgeId) -> CladeKey {
         self.per[ci]
             .map
             .get(e.index())
             .copied()
-            .unwrap_or(SplitId::NONE)
-    }
-
-    /// Resolves an id from constraint `ci`'s arena (diagnostics/tests).
-    pub fn resolve(&self, ci: usize, id: SplitId) -> Option<&Split> {
-        self.per[ci].arena.get(id)
+            .unwrap_or(CladeKey::NONE)
     }
 
     /// The common taxa `C` tracked for constraint `ci` (tests).
@@ -171,21 +158,17 @@ impl EdgeIndexedMaps {
         for (ci, k) in self.per.iter_mut().enumerate() {
             let cons = &problem.constraints()[ci];
             if cons.taxa().contains(t) {
-                // C grows: full rebuild into recycled buffers, with undo.
-                // The checkpoint is taken first so rolling back on undo
-                // drops exactly the splits this rebuild interned; the old
-                // vectors only reference ids below the mark.
+                // C grows: every ancestor clade of `t` gains it (and the
+                // key root moves if `t < min C`), so rebuild into recycled
+                // buffers and keep the old vectors for undo.
                 k.c.insert(t);
-                let arena_mark = k.arena.checkpoint();
                 let mut new_map = self.pool.pop().unwrap_or_default();
                 let mut new_targets = self.pool.pop().unwrap_or_default();
-                let projected =
-                    project_edges_into(agile, &k.c, &mut k.arena, &mut self.scratch, &mut new_map);
+                let projected = project_edges_into(agile, &k.c, &mut self.scratch, &mut new_map);
                 if projected {
                     project_targets_into(
                         cons,
                         &k.c,
-                        &mut k.arena,
                         &mut self.scratch,
                         &mut self.cons_map,
                         &mut new_targets,
@@ -196,7 +179,6 @@ impl EdgeIndexedMaps {
                     all: k.all,
                     map: std::mem::replace(&mut k.map, new_map),
                     targets: std::mem::replace(&mut k.targets, new_targets),
-                    arena_mark,
                 });
                 k.all = !projected;
             } else if !k.all {
@@ -206,18 +188,18 @@ impl EdgeIndexedMaps {
                 // never read while dead and are rewritten on id reuse.
                 let hi = ins.far_half.index().max(ins.pendant.index());
                 if k.map.len() <= hi {
-                    k.map.resize(hi + 1, SplitId::NONE);
+                    k.map.resize(hi + 1, CladeKey::NONE);
                 }
-                let sid = k.map[ins.edge.index()];
-                k.map[ins.far_half.index()] = sid;
-                k.map[ins.pendant.index()] = sid;
+                let key = k.map[ins.edge.index()];
+                k.map[ins.far_half.index()] = key;
+                k.map[ins.pendant.index()] = key;
             }
         }
         self.undo.push(frame);
     }
 
-    /// Clones the *live* kernel state only — projections, targets and
-    /// arenas — with empty undo stacks and pools. Sound for task handoff
+    /// Clones the *live* kernel state only — common taxa, projections and
+    /// targets — with empty undo stacks and pools. Sound for task handoff
     /// because a resumed task never undoes below its resume point: the undo
     /// frames it pushes from here on are exactly the ones it will pop.
     pub fn fork_live(&self) -> Self {
@@ -240,7 +222,6 @@ impl EdgeIndexedMaps {
             let k = &mut self.per[entry.constraint as usize];
             k.c.remove(ins.taxon.index());
             k.all = entry.all;
-            k.arena.rollback(entry.arena_mark);
             self.pool.push(std::mem::replace(&mut k.map, entry.map));
             self.pool
                 .push(std::mem::replace(&mut k.targets, entry.targets));
@@ -254,14 +235,21 @@ mod tests {
     use super::*;
     use crate::mapping::{attachment_map, missing_taxon_targets};
     use phylo::newick::parse_forest;
+    use phylo::split::Split;
 
     fn problem(newicks: &[&str]) -> StandProblem {
         let (_, trees) = parse_forest(newicks.iter().copied()).unwrap();
         StandProblem::from_constraints(trees).unwrap()
     }
 
+    /// The key of a recomputed split, derived from the split itself: the
+    /// min and the count of its canonical side (the one without `min C`).
+    fn key_of(split: Option<&Split>) -> CladeKey {
+        split.map_or(CladeKey::NONE, |s| CladeKey::of_split(s).unwrap())
+    }
+
     /// Compares the edge-indexed kernels against freshly recomputed
-    /// Arc-based projections, split by split.
+    /// Arc-based projections, edge by edge and target by target.
     fn assert_matches_recompute(ei: &EdgeIndexedMaps, problem: &StandProblem, agile: &Tree) {
         for (ci, cons) in problem.constraints().iter().enumerate() {
             let c = agile.taxa().intersection(cons.taxa());
@@ -272,30 +260,28 @@ mod tests {
                 fresh_map.all_admissible(),
                 "all_admissible flag of {ci}"
             );
-            for e in agile.edges() {
-                let via_kernel = if ei.all_admissible(ci) {
-                    None
-                } else {
-                    ei.resolve(ci, ei.projection_id(ci, e)).map(|s| s.side())
-                };
-                assert_eq!(
-                    via_kernel,
-                    fresh_map.get(e).map(|s| s.side()),
-                    "constraint {ci}, edge {e:?}"
-                );
+            if !ei.all_admissible(ci) {
+                for e in agile.edges() {
+                    assert_eq!(
+                        ei.projection_id(ci, e),
+                        key_of(fresh_map.get(e)),
+                        "constraint {ci}, edge {e:?}"
+                    );
+                }
             }
             let fresh_targets = missing_taxon_targets(cons, &c);
             for (t, fresh) in fresh_targets.iter().enumerate() {
-                let via_kernel = ei
-                    .resolve(ci, ei.target_id(ci, TaxonId(t as u32)))
-                    .map(|s| s.side());
                 assert_eq!(
-                    via_kernel,
-                    fresh.as_ref().map(|s| s.side()),
+                    ei.target_id(ci, TaxonId(t as u32)),
+                    key_of(fresh.as_ref()),
                     "constraint {ci}, taxon {t}"
                 );
             }
         }
+    }
+
+    fn pendant(agile: &Tree, t: u32) -> EdgeId {
+        agile.adjacent_edges(agile.leaf(TaxonId(t)).unwrap())[0]
     }
 
     #[test]
@@ -357,9 +343,91 @@ mod tests {
         ei.after_insert(&p, &agile, &ins);
         assert!(!ei.all_admissible(1));
         assert_matches_recompute(&ei, &p, &agile);
+        // |C| = 2: the common subtree is one edge, rooted at A it is the
+        // clade {E}, and every agile edge and every target projects onto it.
+        let e_key = CladeKey::pack(4, 1, p.universe()).unwrap();
+        assert!(agile.edges().all(|e| ei.projection_id(1, e) == e_key));
+        assert_eq!(ei.target_id(1, TaxonId(5)), e_key);
         ei.before_remove(&ins);
         agile.remove_insertion(&ins);
         assert!(ei.all_admissible(1));
         assert_matches_recompute(&ei, &p, &agile);
+    }
+
+    #[test]
+    fn key_root_moves_when_inserting_below_min_c() {
+        // Ids by first appearance: A0 B1 C2 D3 F4 E5. The agile tree is
+        // constraint 1, so constraint 0's C = {B, C, D} is rooted at B.
+        // Inserting A (id 0, in constraint 0) moves the key root to A.
+        let p = problem(&["((A,B),(C,(D,F)));", "((B,C),(D,E));"]);
+        let u = p.universe();
+        let mut agile = p.constraints()[1].clone();
+        let mut ei = EdgeIndexedMaps::new(&p, &agile);
+        assert_matches_recompute(&ei, &p, &agile);
+        let b_pendant = pendant(&agile, 1);
+        // Rooted at B, B's pendant edge has every other C-taxon below it.
+        assert_eq!(
+            ei.projection_id(0, b_pendant),
+            CladeKey::pack(2, 2, u).unwrap()
+        );
+        // A must be sister to B with respect to {C, D}.
+        let branches: Vec<EdgeId> = agile
+            .edges()
+            .filter(|&e| ei.projection_id(0, e) == ei.target_id(0, TaxonId(0)))
+            .collect();
+        assert!(branches.contains(&b_pendant));
+        let ins = agile.insert_leaf_on_edge(TaxonId(0), b_pendant);
+        ei.after_insert(&p, &agile, &ins);
+        assert_eq!(ei.common(0).min_member(), Some(0));
+        assert_matches_recompute(&ei, &p, &agile);
+        // Rooted at A, B's pendant edge now holds just {B}.
+        assert_eq!(
+            ei.projection_id(0, pendant(&agile, 1)),
+            CladeKey::pack(1, 1, u).unwrap()
+        );
+        ei.before_remove(&ins);
+        agile.remove_insertion(&ins);
+        assert_matches_recompute(&ei, &p, &agile);
+        assert_eq!(
+            ei.projection_id(0, b_pendant),
+            CladeKey::pack(2, 2, u).unwrap()
+        );
+    }
+
+    #[test]
+    fn hanging_subtree_edges_inherit_the_path_key() {
+        // Ids: A0 B1 X2 Y3 C4 D5 E6. X, Y and D are outside constraint 1,
+        // so (X,Y) and D hang off the Steiner path to C: all of their
+        // edges carry the key of the clade {C}.
+        let p = problem(&["((A,B),((X,Y),(C,D)));", "((A,B),(C,E));"]);
+        let u = p.universe();
+        let mut agile = p.constraints()[0].clone();
+        let mut ei = EdgeIndexedMaps::new(&p, &agile);
+        assert_matches_recompute(&ei, &p, &agile);
+        let c_key = CladeKey::pack(4, 1, u).unwrap();
+        for t in [2, 3, 4, 5] {
+            assert_eq!(ei.projection_id(1, pendant(&agile, t)), c_key, "taxon {t}");
+        }
+        let xy = agile.endpoints(pendant(&agile, 2));
+        let xy_node = if agile.taxon(xy.0).is_some() {
+            xy.1
+        } else {
+            xy.0
+        };
+        for &e in agile.adjacent_edges(xy_node) {
+            assert_eq!(ei.projection_id(1, e), c_key);
+        }
+        assert_eq!(ei.target_id(1, TaxonId(6)), c_key);
+        // Inserting E inside the hanging subtree rebuilds constraint 1 and
+        // undo restores the inherited keys.
+        let ins = agile.insert_leaf_on_edge(TaxonId(6), pendant(&agile, 2));
+        ei.after_insert(&p, &agile, &ins);
+        assert_matches_recompute(&ei, &p, &agile);
+        ei.before_remove(&ins);
+        agile.remove_insertion(&ins);
+        assert_matches_recompute(&ei, &p, &agile);
+        for t in [2, 3, 4, 5] {
+            assert_eq!(ei.projection_id(1, pendant(&agile, t)), c_key, "taxon {t}");
+        }
     }
 }

@@ -10,9 +10,18 @@
 //! then admissible for `t` (w.r.t. this constraint) iff it projects onto
 //! `b̂(t)`.
 //!
-//! We identify common-subtree edges canonically by their **split of `C`**,
-//! so projections computed independently on `A` and `T` are directly
-//! comparable.
+//! Two representations of a common-subtree edge live here:
+//!
+//! * the reference functions ([`attachment_map`],
+//!   [`missing_taxon_targets`]) name it by its canonical **split of `C`**
+//!   (`Arc<Split>` bitsets) — the `Recompute` oracle;
+//! * the edge-indexed functions ([`project_edges_into`],
+//!   [`project_targets_into`]) name it by its [`CladeKey`]: with both trees
+//!   rooted at the leaf of `min C`, the (smallest taxon, number of taxa)
+//!   of the `C`-clade below it — a `u32` computed by a bitset-free fold.
+//!
+//! Either way, projections computed independently on `A` and `T` are
+//! directly comparable.
 //!
 //! ### Why the projection is total and single-valued
 //!
@@ -28,7 +37,7 @@
 //! subtree has no edges and every branch is admissible.
 
 use phylo::bitset::BitSet;
-use phylo::split::{Split, SplitArena, SplitId};
+use phylo::split::Split;
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, NodeId, Tree};
 use std::sync::Arc;
@@ -135,17 +144,87 @@ pub fn missing_taxon_targets(tree: &Tree, c: &BitSet) -> Vec<Option<Split>> {
     out
 }
 
+/// A common-subtree edge named without a bitset: root the tree at
+/// `r = min C`; the edge is then one clade of `C \ {r}` (the `C`-taxa below
+/// it), and the key is that clade's smallest taxon and size, packed as
+/// `min·(U+1) + count` for a taxon universe of size `U`.
+///
+/// The clades of a rooted tree are nested or disjoint, so two distinct
+/// clades with the same smallest taxon are nested and differ in size: the
+/// key names the edge exactly. Both the agile tree and a constraint tree
+/// display `T|C` rooted at the same `r`, so keys computed on either are
+/// directly comparable, and equal keys mean equal splits of `C`.
+///
+/// The key is the canonical side of the split (the side without `min C`)
+/// reduced to `(min, count)`, which is how the conformance tests derive it
+/// from a `Recompute` [`Split`] independently of the projection code.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct CladeKey(u32);
+
+impl CladeKey {
+    /// Sentinel for "no edge" (dead edge slot, taxon without a target).
+    /// Kept out of `Option` so edge-indexed maps stay flat `u32` vectors;
+    /// [`CladeKey::pack`] never returns it.
+    pub const NONE: CladeKey = CladeKey(u32::MAX);
+
+    /// The largest taxon universe whose keys all pack into a `u32`.
+    pub const MAX_UNIVERSE: usize = 65_535;
+
+    /// True if this is the [`CladeKey::NONE`] sentinel.
+    #[inline]
+    pub fn is_none(self) -> bool {
+        self == CladeKey::NONE
+    }
+
+    /// Packs a clade with smallest taxon `min` and `count` taxa in a
+    /// universe of `universe` taxa as `min·(universe+1) + count`. Checked,
+    /// never wrapped: `None` unless `min` and `count` are below `universe`
+    /// and the packed value fits a `u32` without equalling
+    /// [`CladeKey::NONE`].
+    #[inline]
+    pub fn pack(min: usize, count: usize, universe: usize) -> Option<CladeKey> {
+        if min >= universe || count >= universe {
+            return None;
+        }
+        let key = (min as u64)
+            .checked_mul(universe as u64 + 1)?
+            .checked_add(count as u64)?;
+        match u32::try_from(key) {
+            Ok(k) if k != u32::MAX => Some(CladeKey(k)),
+            _ => None,
+        }
+    }
+
+    /// True if every clade key over a universe of `universe` taxa packs:
+    /// a clade excludes the root taxon, so its smallest taxon and its size
+    /// are both at most `universe - 1`. Holds exactly for universes of at
+    /// most [`CladeKey::MAX_UNIVERSE`] taxa.
+    pub fn fits(universe: usize) -> bool {
+        universe == 0 || CladeKey::pack(universe - 1, universe - 1, universe).is_some()
+    }
+
+    /// The key of a canonical split of `C` (its side excludes `min C`),
+    /// derived from the split itself rather than from a projection.
+    /// `None` for an empty side or a universe whose keys do not fit.
+    #[cfg(test)]
+    pub(crate) fn of_split(split: &Split) -> Option<CladeKey> {
+        let side = split.side();
+        CladeKey::pack(side.min_member()?, side.count(), side.universe())
+    }
+}
+
 /// Reusable buffers for [`project_edges_into`] / [`project_targets_into`].
 ///
 /// One instance lives inside the edge-indexed kernel and is threaded
 /// through every rebuild, so the steady-state explore loop performs no
-/// per-node heap allocation: the per-node below-sets, the inherit vector
+/// heap allocation: the per-node `(min, count)` fold, the inherit vector
 /// and the traversal buffers are all recycled across rebuilds.
 pub struct ProjectionScratch {
-    /// `below[v]` = C-taxa in the subtree below node `v`'s parent edge.
-    below: Vec<BitSet>,
-    /// Nearest-Steiner-ancestor split id per node (top-down inherit pass).
-    inherit: Vec<SplitId>,
+    /// `fold[v]` = (smallest `C`-taxon, number of `C`-taxa) below node
+    /// `v`'s parent edge; `(u32::MAX, 0)` when there are none.
+    fold: Vec<(u32, u32)>,
+    /// Nearest-Steiner-ancestor key per node (top-down inherit pass).
+    inherit: Vec<CladeKey>,
     order: Vec<(NodeId, Option<EdgeId>)>,
     stack: Vec<(NodeId, Option<EdgeId>)>,
 }
@@ -154,7 +233,7 @@ impl ProjectionScratch {
     /// Creates empty scratch; buffers grow on first use and are reused.
     pub fn new() -> Self {
         ProjectionScratch {
-            below: Vec::new(),
+            fold: Vec::new(),
             inherit: Vec::new(),
             order: Vec::new(),
             stack: Vec::new(),
@@ -168,33 +247,22 @@ impl Default for ProjectionScratch {
     }
 }
 
-/// Mutable access to two distinct slots of a slice (the bottom-up fold
-/// unions a child's below-set into its parent's without cloning).
-fn two_mut<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// Edge-indexed variant of [`attachment_map`]: writes the projection of
-/// every live edge of `tree` onto the common subtree of `c` into `map`
-/// (indexed by `EdgeId`, dead slots are [`SplitId::NONE`]), interning the
-/// splits into `arena`. Returns `false` for the degenerate `|C| ≤ 1` case
-/// (every branch admissible; `map` contents are then meaningless).
+/// Edge-indexed variant of [`attachment_map`]: writes the [`CladeKey`] of
+/// the common-subtree edge that every live edge of `tree` projects onto
+/// into `map` (indexed by `EdgeId`, dead slots are [`CladeKey::NONE`]).
+/// Returns `false` for the degenerate `|C| ≤ 1` case (every branch
+/// admissible; `map` contents are then meaningless).
 ///
-/// Equal splits intern to equal ids, so two projections built against the
-/// same arena compare with a single `u32` equality per edge.
+/// One preorder from the leaf of `min C`, a bottom-up `(min, count)` fold
+/// and a top-down pass in which hanging edges inherit the key of their
+/// nearest Steiner ancestor; no allocation once the buffers have grown.
+/// The universe must satisfy [`CladeKey::fits`], which
+/// [`StandProblem`](crate::StandProblem) guarantees for every tree it holds.
 pub fn project_edges_into(
     tree: &Tree,
     c: &BitSet,
-    arena: &mut SplitArena,
     scratch: &mut ProjectionScratch,
-    map: &mut Vec<SplitId>,
+    map: &mut Vec<CladeKey>,
 ) -> bool {
     debug_assert!(c.is_subset(tree.taxa()), "C must be common taxa");
     if c.count() < 2 {
@@ -209,72 +277,73 @@ pub fn project_edges_into(
     };
     tree.preorder_into(root, &mut scratch.stack, &mut scratch.order);
 
-    // Bottom-up: C-taxa below each node's parent edge.
+    // Bottom-up: (smallest C-taxon, C-taxon count) below each node's
+    // parent edge. The root's own entry is never read.
     let nodes = tree.node_id_bound();
-    while scratch.below.len() < nodes {
-        scratch.below.push(BitSet::new(tree.universe()));
+    if scratch.fold.len() < nodes {
+        scratch.fold.resize(nodes, (u32::MAX, 0));
     }
     for &(v, _) in &scratch.order {
-        let below = &mut scratch.below[v.index()];
-        below.clear();
-        if let Some(t) = tree.taxon(v) {
-            if c.contains(t.index()) {
-                below.insert(t.index());
-            }
-        }
+        scratch.fold[v.index()] = match tree.taxon(v) {
+            Some(t) if c.contains(t.index()) => (t.0, 1),
+            _ => (u32::MAX, 0),
+        };
     }
-    for i in (0..scratch.order.len()).rev() {
-        let (v, pe) = scratch.order[i];
+    for &(v, pe) in scratch.order.iter().rev() {
         if let Some(pe) = pe {
-            let parent = tree.opposite(pe, v);
-            let (pb, vb) = two_mut(&mut scratch.below, parent.index(), v.index());
-            pb.union_with(vb);
+            let (min, count) = scratch.fold[v.index()];
+            let p = &mut scratch.fold[tree.opposite(pe, v).index()];
+            p.0 = p.0.min(min);
+            p.1 += count;
         }
     }
 
-    // Top-down: Steiner edges intern their own split; hanging edges inherit
-    // the id of the nearest ancestor Steiner edge.
+    // Top-down: Steiner edges get their clade's key; hanging edges inherit
+    // the key of the nearest ancestor Steiner edge.
+    let universe = tree.universe();
     map.clear();
-    map.resize(tree.edge_id_bound(), SplitId::NONE);
+    map.resize(tree.edge_id_bound(), CladeKey::NONE);
     scratch.inherit.clear();
-    scratch.inherit.resize(nodes, SplitId::NONE);
+    scratch.inherit.resize(nodes, CladeKey::NONE);
     for &(v, pe) in &scratch.order {
         let Some(pe) = pe else { continue };
-        let parent = tree.opposite(pe, v);
-        let sid = if scratch.below[v.index()].is_empty() {
-            let inherited = scratch.inherit[parent.index()];
-            debug_assert!(
-                !inherited.is_none(),
-                "hanging edge with no Steiner ancestor"
-            );
-            inherited
-        } else {
-            arena.intern_side(&scratch.below[v.index()], c)
+        let key = match scratch.fold[v.index()] {
+            (_, 0) => {
+                let inherited = scratch.inherit[tree.opposite(pe, v).index()];
+                debug_assert!(
+                    !inherited.is_none(),
+                    "hanging edge with no Steiner ancestor"
+                );
+                inherited
+            }
+            (min, count) => CladeKey::pack(min as usize, count as usize, universe)
+                // xlint: allow(panic-freedom) — StandProblem rejects universes whose keys do not fit; an aliased key would admit wrong branches
+                .expect("clade key does not fit the taxon universe"),
         };
-        map[pe.index()] = sid;
-        scratch.inherit[v.index()] = sid;
+        map[pe.index()] = key;
+        scratch.inherit[v.index()] = key;
     }
     true
 }
 
 /// Edge-indexed variant of [`missing_taxon_targets`]: fills `out` (indexed
-/// by taxon id over the whole universe) with the id of the common-subtree
-/// edge each taxon of `tree`'s leaf set outside `c` must subdivide —
-/// [`SplitId::NONE`] for taxa in `c`, absent taxa, or when `|C| ≤ 1`
-/// (in which case `false` is returned). `cons_map` is scratch for the
-/// constraint tree's own edge projection. Interns into the same `arena`
-/// as the agile projection so target and projection ids are comparable.
+/// by taxon id over the whole universe) with the [`CladeKey`] of the
+/// common-subtree edge each taxon of `tree`'s leaf set outside `c` must
+/// subdivide — [`CladeKey::NONE`] for taxa in `c`, absent taxa, or when
+/// `|C| ≤ 1` (in which case `false` is returned). `cons_map` is scratch for
+/// the constraint tree's own edge projection. Keys are rooted at the same
+/// `min C` as the agile projection, so targets and projections compare
+/// directly.
 pub fn project_targets_into(
     tree: &Tree,
     c: &BitSet,
-    arena: &mut SplitArena,
     scratch: &mut ProjectionScratch,
-    cons_map: &mut Vec<SplitId>,
-    out: &mut Vec<SplitId>,
+    cons_map: &mut Vec<CladeKey>,
+    out: &mut Vec<CladeKey>,
 ) -> bool {
     out.clear();
-    out.resize(tree.universe(), SplitId::NONE);
-    if !project_edges_into(tree, c, arena, scratch, cons_map) {
+    out.resize(tree.universe(), CladeKey::NONE);
+    if !project_edges_into(tree, c, scratch, cons_map) {
         return false;
     }
     for (leaf, taxon) in tree.leaves() {
@@ -415,9 +484,9 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
         let universe = 12usize;
-        let mut arena = SplitArena::new(universe);
         let mut scratch = ProjectionScratch::new();
         let (mut map, mut cons_map, mut targets) = (Vec::new(), Vec::new(), Vec::new());
+        let key_of = |s: Option<&Split>| s.map(|s| CladeKey::of_split(s).unwrap());
         for trial in 0..40 {
             let ids: Vec<TaxonId> = (0..universe as u32).map(TaxonId).collect();
             let source = random_tree(universe, &ids, ShapeModel::Uniform, &mut rng);
@@ -433,30 +502,60 @@ mod tests {
             let c = agile.taxa().intersection(cons.taxa());
 
             let reference = attachment_map(&agile, &c);
-            let projected = project_edges_into(&agile, &c, &mut arena, &mut scratch, &mut map);
+            let projected = project_edges_into(&agile, &c, &mut scratch, &mut map);
             assert_eq!(projected, !reference.all_admissible(), "trial {trial}");
             if projected {
                 for e in agile.edges() {
-                    let via_arena = arena.get(map[e.index()]).map(|s| s.side());
-                    let via_arc = reference.get(e).map(|s| s.side());
-                    assert_eq!(via_arena, via_arc, "trial {trial}, edge {e:?}");
+                    assert_eq!(
+                        Some(map[e.index()]),
+                        key_of(reference.get(e)),
+                        "trial {trial}, edge {e:?}"
+                    );
                 }
             }
 
             let ref_targets = missing_taxon_targets(&cons, &c);
-            let has_targets = project_targets_into(
-                &cons,
-                &c,
-                &mut arena,
-                &mut scratch,
-                &mut cons_map,
-                &mut targets,
-            );
+            let has_targets =
+                project_targets_into(&cons, &c, &mut scratch, &mut cons_map, &mut targets);
             assert_eq!(has_targets, projected, "trial {trial}");
             for t in 0..universe {
-                let via_arena = arena.get(targets[t]).map(|s| s.side());
-                let via_arc = ref_targets[t].as_ref().map(|s| s.side());
-                assert_eq!(via_arena, via_arc, "trial {trial}, taxon {t}");
+                let via_key = Some(targets[t]).filter(|k| !k.is_none());
+                assert_eq!(
+                    via_key,
+                    key_of(ref_targets[t].as_ref()),
+                    "trial {trial}, taxon {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn key_packing_is_checked_at_the_u32_bound() {
+        let max = CladeKey::MAX_UNIVERSE;
+        assert!(CladeKey::fits(max));
+        assert!(!CladeKey::fits(max + 1));
+        assert!(CladeKey::fits(0) && CladeKey::fits(1));
+        // The largest key of the largest universe stays below the sentinel.
+        let top = CladeKey::pack(max - 1, max - 1, max).unwrap();
+        assert!(top < CladeKey::NONE);
+        assert_eq!(
+            top.0 as u64,
+            (max as u64 - 1) * (max as u64 + 1) + max as u64 - 1
+        );
+        // One taxon more and the same clade would wrap: refused, not wrapped.
+        assert_eq!(CladeKey::pack(max, max, max + 1), None);
+        // (65535, 0) in a 65536-taxon universe would pack to exactly NONE.
+        assert_eq!(CladeKey::pack(max, 0, max + 1), None);
+        // Out-of-range parts are refused whatever the universe.
+        assert_eq!(CladeKey::pack(5, 1, 5), None);
+        assert_eq!(CladeKey::pack(1, 5, 5), None);
+        assert_eq!(CladeKey::pack(0, 0, 0), None);
+        // Distinct (min, count) pairs never collide within one universe.
+        let u = 9;
+        let mut seen = std::collections::HashSet::new();
+        for min in 0..u {
+            for count in 0..u {
+                assert!(seen.insert(CladeKey::pack(min, count, u).unwrap()));
             }
         }
     }

@@ -2,6 +2,7 @@
 //! constraint trees over a common taxon universe.
 
 use crate::config::InitialTreeRule;
+use crate::mapping::CladeKey;
 use phylo::bitset::BitSet;
 use phylo::pam::Pam;
 use phylo::tree::Tree;
@@ -19,6 +20,10 @@ pub enum ProblemError {
     TooSmall(usize),
     /// Constraint `i` addresses a different taxon universe size.
     UniverseMismatch(usize),
+    /// The taxon universe has this many taxa, more than the
+    /// [`CladeKey::MAX_UNIVERSE`] whose common-subtree edge keys pack into
+    /// a `u32`.
+    UniverseTooLarge(usize),
     /// The initial-tree index given by [`InitialTreeRule::Index`] is out of
     /// bounds.
     BadInitialIndex(usize),
@@ -35,6 +40,11 @@ impl fmt::Display for ProblemError {
             ProblemError::UniverseMismatch(i) => {
                 write!(f, "constraint {i} has a different taxon universe")
             }
+            ProblemError::UniverseTooLarge(n) => write!(
+                f,
+                "taxon universe of {n} taxa exceeds the supported {}",
+                CladeKey::MAX_UNIVERSE
+            ),
             ProblemError::BadInitialIndex(i) => {
                 write!(f, "initial tree index {i} out of bounds")
             }
@@ -62,12 +72,16 @@ pub struct StandProblem {
 impl StandProblem {
     /// Builds a problem from constraint trees (Gentrius input mode 1).
     /// All trees must share the same universe, be binary unrooted and have
-    /// at least three taxa.
+    /// at least three taxa, and the universe must be small enough for
+    /// every [`CladeKey`] over it to pack ([`CladeKey::fits`]).
     pub fn from_constraints(constraints: Vec<Tree>) -> Result<Self, ProblemError> {
         if constraints.is_empty() {
             return Err(ProblemError::Empty);
         }
         let universe = constraints[0].universe();
+        if !CladeKey::fits(universe) {
+            return Err(ProblemError::UniverseTooLarge(universe));
+        }
         for (i, t) in constraints.iter().enumerate() {
             if t.universe() != universe {
                 return Err(ProblemError::UniverseMismatch(i));
@@ -195,6 +209,18 @@ mod tests {
         assert_eq!(
             StandProblem::from_constraints(trees).unwrap_err(),
             ProblemError::TooSmall(0)
+        );
+    }
+
+    #[test]
+    fn rejects_universes_whose_clade_keys_do_not_fit() {
+        use phylo::taxa::TaxonId;
+        let three = |universe| Tree::three_leaf(universe, TaxonId(0), TaxonId(1), TaxonId(2));
+        let max = CladeKey::MAX_UNIVERSE;
+        assert!(StandProblem::from_constraints(vec![three(max)]).is_ok());
+        assert_eq!(
+            StandProblem::from_constraints(vec![three(max + 1)]).unwrap_err(),
+            ProblemError::UniverseTooLarge(max + 1)
         );
     }
 

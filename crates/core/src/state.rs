@@ -10,9 +10,10 @@
 
 use crate::config::{MappingMode, TaxonOrderRule};
 use crate::edge_index::EdgeIndexedMaps;
-use crate::mapping::{attachment_map, missing_taxon_targets, AttachMap};
+use crate::mapping::{attachment_map, missing_taxon_targets, AttachMap, CladeKey};
 use crate::problem::StandProblem;
-use phylo::split::{Split, SplitId};
+use phylo::ops::compatible;
+use phylo::split::Split;
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, Insertion, Tree};
 
@@ -129,45 +130,47 @@ impl StateSnapshot {
     /// The parts cross process boundaries through checkpoint files, so they
     /// are validated as hostile input: the universe must match the problem,
     /// the remaining taxa must be exactly the taxa missing from the agile
-    /// tree, and the agile tree must be binary.
+    /// tree, the agile tree must be binary, and it must be compatible with
+    /// every constraint (`A|C = T|C`, the invariant the search keeps and
+    /// the clade keys of the edge-indexed kernels rely on).
     pub fn from_parts(
         problem: &StandProblem,
         agile: Tree,
         remaining: Vec<TaxonId>,
         order_code: u8,
         mapping: MappingMode,
-    ) -> Result<StateSnapshot, String> {
+    ) -> Result<StateSnapshot, SnapshotError> {
         let order = match order_code {
             0 => OrderEngine::Static,
             1 => OrderEngine::Dynamic(DynamicTie::SmallestId),
             2 => OrderEngine::Dynamic(DynamicTie::MostConstraints),
-            other => return Err(format!("unknown order-engine code {other}")),
+            other => return Err(SnapshotError::UnknownOrder(other)),
         };
         if agile.universe() != problem.universe() {
-            return Err(format!(
-                "agile tree universe {} does not match the problem's {}",
-                agile.universe(),
-                problem.universe()
-            ));
+            return Err(SnapshotError::UniverseMismatch {
+                agile: agile.universe(),
+                problem: problem.universe(),
+            });
         }
         if !agile.is_binary_unrooted() {
-            return Err("agile tree is not binary unrooted".into());
+            return Err(SnapshotError::NotBinary);
         }
         let mut missing = problem.all_taxa().difference(agile.taxa());
         for &t in &remaining {
             if !missing.contains(t.index()) {
-                return Err(format!(
-                    "remaining taxon {} is already in the agile tree or repeated",
-                    t.0
-                ));
+                return Err(SnapshotError::RemainingNotMissing(t.0));
             }
             missing.remove(t.index());
         }
         if missing.count() != 0 {
-            return Err(format!(
-                "{} missing taxa absent from the remaining list",
-                missing.count()
-            ));
+            return Err(SnapshotError::MissingNotRemaining(missing.count()));
+        }
+        if let Some(ci) = problem
+            .constraints()
+            .iter()
+            .position(|cons| !compatible(&agile, cons))
+        {
+            return Err(SnapshotError::Incompatible { constraint: ci });
         }
         let engine = match mapping {
             MappingMode::Recompute => MapsEngine::Recompute,
@@ -182,7 +185,136 @@ impl StateSnapshot {
             engine,
         })
     }
+
+    /// Validates a pending task read back with this snapshot: unless
+    /// `branches` is empty, `taxon` must be remaining, and every branch
+    /// must be a live edge of the agile tree that is admissible for
+    /// `taxon`. Admissibility is decided by the Recompute oracle, not by
+    /// this snapshot's own engine.
+    pub fn check_task(
+        &self,
+        problem: &StandProblem,
+        taxon: TaxonId,
+        branches: &[EdgeId],
+    ) -> Result<(), SnapshotError> {
+        if branches.is_empty() {
+            return Ok(());
+        }
+        if !self.remaining.contains(&taxon) {
+            return Err(SnapshotError::TaxonNotRemaining(taxon.0));
+        }
+        let mut scratch = QueryScratch::new();
+        scratch.reset(problem.constraints().len());
+        let mut admissible = Vec::new();
+        admissible_into(
+            problem,
+            &self.agile,
+            &MapsEngine::Recompute,
+            &mut scratch,
+            taxon,
+            &mut admissible,
+        );
+        for &edge in branches {
+            if !self.agile.edge_alive(edge) {
+                return Err(SnapshotError::DeadBranch {
+                    taxon: taxon.0,
+                    edge: edge.0,
+                });
+            }
+            if admissible.binary_search(&edge).is_err() {
+                return Err(SnapshotError::InadmissibleBranch {
+                    taxon: taxon.0,
+                    edge: edge.0,
+                });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why [`StateSnapshot::from_parts`] or [`StateSnapshot::check_task`]
+/// rejected a serialized state.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The order-engine wire byte is not 0, 1 or 2.
+    UnknownOrder(u8),
+    /// The agile tree addresses a different taxon universe.
+    UniverseMismatch {
+        /// Universe of the agile tree.
+        agile: usize,
+        /// Universe of the problem.
+        problem: usize,
+    },
+    /// The agile tree is not binary unrooted.
+    NotBinary,
+    /// A remaining taxon is already in the agile tree, or listed twice.
+    RemainingNotMissing(u32),
+    /// This many taxa are missing from the agile tree but not listed as
+    /// remaining.
+    MissingNotRemaining(usize),
+    /// The agile tree does not display constraint `constraint` restricted
+    /// to their common taxa (`A|C ≠ T|C`).
+    Incompatible {
+        /// Index of the first incompatible constraint.
+        constraint: usize,
+    },
+    /// A task with branches names a taxon that is not remaining.
+    TaxonNotRemaining(u32),
+    /// A pending branch is not a live edge of the agile tree.
+    DeadBranch {
+        /// The pending taxon.
+        taxon: u32,
+        /// The offending edge id.
+        edge: u32,
+    },
+    /// A pending branch is a live edge but not admissible for the taxon.
+    InadmissibleBranch {
+        /// The pending taxon.
+        taxon: u32,
+        /// The offending edge id.
+        edge: u32,
+    },
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::UnknownOrder(c) => write!(f, "unknown order-engine code {c}"),
+            SnapshotError::UniverseMismatch { agile, problem } => write!(
+                f,
+                "agile tree universe {agile} does not match the problem's {problem}"
+            ),
+            SnapshotError::NotBinary => write!(f, "agile tree is not binary unrooted"),
+            SnapshotError::RemainingNotMissing(t) => write!(
+                f,
+                "remaining taxon {t} is already in the agile tree or repeated"
+            ),
+            SnapshotError::MissingNotRemaining(n) => {
+                write!(f, "{n} missing taxa absent from the remaining list")
+            }
+            SnapshotError::Incompatible { constraint } => write!(
+                f,
+                "agile tree is incompatible with constraint {}",
+                constraint + 1
+            ),
+            SnapshotError::TaxonNotRemaining(t) => {
+                write!(f, "pending taxon {t} is not remaining")
+            }
+            SnapshotError::DeadBranch { taxon, edge } => {
+                write!(
+                    f,
+                    "pending branch {edge} of taxon {taxon} is not a live edge"
+                )
+            }
+            SnapshotError::InadmissibleBranch { taxon, edge } => write!(
+                f,
+                "pending branch {edge} is not admissible for taxon {taxon}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 impl Clone for StateSnapshot {
     fn clone(&self) -> Self {
@@ -560,8 +692,8 @@ fn admissible_into(
 struct QueryScratch {
     agile_maps: Vec<Option<AttachMap>>,
     targets: Vec<Option<Vec<Option<Split>>>>,
-    /// `(constraint, target id)` pairs for the edge-indexed fast path.
-    ei_checks: Vec<(usize, SplitId)>,
+    /// `(constraint, target key)` pairs for the edge-indexed fast path.
+    ei_checks: Vec<(usize, CladeKey)>,
     /// Branches of the candidate taxon under evaluation.
     cand: Vec<EdgeId>,
     /// Branches of the best candidate so far.

@@ -1,16 +1,16 @@
 //! Property tests of the edge-indexed admissibility kernels: on random
-//! trees and constraints the flat `SplitId` kernels must agree with the
+//! trees and constraints the flat clade-key kernels must agree with the
 //! definitional admissibility test for every (taxon, edge) pair, and an
 //! apply/undo round trip must restore the exact observable projection
 //! state at every depth.
 
 use gentrius_core::edge_index::EdgeIndexedMaps;
-use gentrius_core::mapping::{attachment_map, missing_taxon_targets};
+use gentrius_core::mapping::{attachment_map, missing_taxon_targets, CladeKey};
 use gentrius_core::StandProblem;
 use phylo::bitset::BitSet;
 use phylo::generate::{random_tree, ShapeModel};
-use phylo::ops::restrict;
-use phylo::split::topo_eq;
+use phylo::ops::{compatible, restrict};
+use phylo::split::{topo_eq, Split};
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, Tree};
 use proptest::prelude::*;
@@ -64,32 +64,45 @@ fn admissible_by_kernel(ei: &EdgeIndexedMaps, ci: usize, t: TaxonId, e: EdgeId) 
     ei.projection_id(ci, e) == target
 }
 
-/// Everything a kernel exposes, resolved to concrete split sides so ids
-/// from different arena generations compare by value.
-type KernelSnapshot = Vec<(BitSet, bool, Vec<Option<BitSet>>, Vec<Option<BitSet>>)>;
+/// Everything a kernel exposes: common taxa, the all-admissible flag, and
+/// (when projected) the key of every live edge and every taxon's target.
+/// Keys are values, not ids into a per-run table, so snapshots taken at
+/// different times compare directly.
+type KernelSnapshot = Vec<(BitSet, bool, Vec<CladeKey>, Vec<CladeKey>)>;
 
 fn snapshot(ei: &EdgeIndexedMaps, problem: &StandProblem, agile: &Tree) -> KernelSnapshot {
     (0..problem.constraints().len())
         .map(|ci| {
-            let map: Vec<Option<BitSet>> = agile
-                .edges()
-                .map(|e| {
-                    ei.resolve(ci, ei.projection_id(ci, e))
-                        .map(|s| s.side().clone())
-                })
+            let all = ei.all_admissible(ci);
+            let map: Vec<CladeKey> = if all {
+                Vec::new()
+            } else {
+                agile.edges().map(|e| ei.projection_id(ci, e)).collect()
+            };
+            let targets: Vec<CladeKey> = (0..UNIVERSE)
+                .map(|t| ei.target_id(ci, TaxonId(t as u32)))
                 .collect();
-            let targets: Vec<Option<BitSet>> = (0..UNIVERSE)
-                .map(|t| {
-                    ei.resolve(ci, ei.target_id(ci, TaxonId(t as u32)))
-                        .map(|s| s.side().clone())
-                })
-                .collect();
-            (ei.common(ci).clone(), ei.all_admissible(ci), map, targets)
+            (ei.common(ci).clone(), all, map, targets)
         })
         .collect()
 }
 
-/// Asserts the kernels match freshly recomputed Arc-based projections.
+/// The key of a recomputed split, derived independently of the kernels:
+/// the smallest taxon and the size of the side that does not contain
+/// `min C` (the canonical side).
+fn key_of(split: Option<&Split>) -> CladeKey {
+    split.map_or(CladeKey::NONE, |s| {
+        let side = s.side();
+        CladeKey::pack(side.min_member().unwrap(), side.count(), side.universe()).unwrap()
+    })
+}
+
+/// Asserts the kernels match freshly recomputed Arc-based projections:
+/// every edge key and every target equals the key derived from the
+/// Recompute split. Where the agile tree displays the constraint's common
+/// subtree (`A|C = T|C`, which every state the search reaches satisfies),
+/// two keys over all agile edges and targets of a constraint are also
+/// equal exactly when their splits are.
 fn matches_recompute(
     ei: &EdgeIndexedMaps,
     problem: &StandProblem,
@@ -108,28 +121,46 @@ fn matches_recompute(
         if ei.all_admissible(ci) {
             continue;
         }
+        let mut labelled: Vec<(CladeKey, Split)> = Vec::new();
         for e in agile.edges() {
-            let via_kernel = ei.resolve(ci, ei.projection_id(ci, e)).map(|s| s.side());
+            let via_kernel = ei.projection_id(ci, e);
             prop_assert_eq!(
                 via_kernel,
-                fresh.get(e).map(|s| s.side()),
+                key_of(fresh.get(e)),
                 "constraint {}, edge {:?}",
                 ci,
                 e
             );
+            labelled.extend(fresh.get(e).map(|s| (via_kernel, s.clone())));
         }
         let fresh_targets = missing_taxon_targets(cons, &c);
         for (t, fresh) in fresh_targets.iter().enumerate() {
-            let via_kernel = ei
-                .resolve(ci, ei.target_id(ci, TaxonId(t as u32)))
-                .map(|s| s.side());
+            let via_kernel = ei.target_id(ci, TaxonId(t as u32));
             prop_assert_eq!(
                 via_kernel,
-                fresh.as_ref().map(|s| s.side()),
+                key_of(fresh.as_ref()),
                 "constraint {}, taxon {}",
                 ci,
                 t
             );
+            labelled.extend(fresh.iter().map(|s| (via_kernel, s.clone())));
+        }
+        if !compatible(agile, cons) {
+            continue; // keys name splits only under A|C = T|C
+        }
+        for (i, (ka, sa)) in labelled.iter().enumerate() {
+            for (kb, sb) in &labelled[i + 1..] {
+                prop_assert_eq!(
+                    ka == kb,
+                    sa == sb,
+                    "constraint {}: keys {:?}/{:?} vs splits {:?}/{:?}",
+                    ci,
+                    ka,
+                    kb,
+                    sa,
+                    sb
+                );
+            }
         }
     }
     Ok(())
@@ -205,6 +236,53 @@ proptest! {
             ei.before_remove(&ins);
             agile.remove_insertion(&ins);
             prop_assert_eq!(snapshot(&ei, &problem, &agile), snap);
+            matches_recompute(&ei, &problem, &agile)?;
+        }
+    }
+
+    #[test]
+    fn keys_name_splits_along_admissible_insertions(seed in 0u64..u64::MAX) {
+        // Inserting only on admissible edges, as the search does, keeps
+        // A|C = T|C for every constraint: the invariant under which equal
+        // keys must mean equal splits. The walk stops at a dead end.
+        let (mut agile, problem) = random_instance(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC1AD);
+        let mut ei = EdgeIndexedMaps::new(&problem, &agile);
+        let mut missing: Vec<TaxonId> = problem
+            .all_taxa()
+            .difference(agile.taxa())
+            .iter()
+            .map(|t| TaxonId(t as u32))
+            .collect();
+        missing.shuffle(&mut rng);
+        let mut trail = Vec::new();
+        for t in missing {
+            let n_cons = problem.constraints().len();
+            let admissible: Vec<EdgeId> = agile
+                .edges()
+                .filter(|&e| (0..n_cons).all(|ci| admissible_by_kernel(&ei, ci, t, e)))
+                .collect();
+            for e in agile.edges() {
+                let by_definition = problem.constraints().iter().all(|cons| {
+                    !cons.taxa().contains(t.index()) || admissible_by_definition(&agile, cons, t, e)
+                });
+                prop_assert_eq!(admissible.contains(&e), by_definition, "taxon {:?}, edge {:?}", t, e);
+            }
+            if admissible.is_empty() {
+                break; // a dead end: the search would backtrack here
+            }
+            let e = admissible[rng.gen_range(0..admissible.len())];
+            let ins = agile.insert_leaf_on_edge(t, e);
+            ei.after_insert(&problem, &agile, &ins);
+            for cons in problem.constraints() {
+                prop_assert!(compatible(&agile, cons));
+            }
+            matches_recompute(&ei, &problem, &agile)?;
+            trail.push(ins);
+        }
+        while let Some(ins) = trail.pop() {
+            ei.before_remove(&ins);
+            agile.remove_insertion(&ins);
             matches_recompute(&ei, &problem, &agile)?;
         }
     }

@@ -34,22 +34,6 @@ impl Split {
         Split { side }
     }
 
-    /// Writes the canonical side of `side` (w.r.t. the leaf set `taxa`)
-    /// into `out` without allocating: the canonical side is the one not
-    /// containing the reference (smallest) taxon. All three sets must share
-    /// one universe.
-    pub fn canonicalize_into(side: &BitSet, taxa: &BitSet, out: &mut BitSet) {
-        debug_assert_eq!(side.universe(), taxa.universe());
-        debug_assert!(side.is_subset(taxa));
-        match taxa.min_member() {
-            Some(reference) if side.contains(reference) => {
-                out.copy_from(taxa);
-                out.difference_with(side);
-            }
-            _ => out.copy_from(side),
-        }
-    }
-
     /// The canonical side (never contains the reference taxon).
     pub fn side(&self) -> &BitSet {
         &self.side
@@ -84,123 +68,6 @@ impl Split {
         let mut union = a.union(b);
         union.intersect_with(taxa);
         union == *taxa
-    }
-}
-
-/// Dense identifier of an interned [`Split`] within one [`SplitArena`].
-///
-/// Two ids from the *same* arena are equal iff the splits are equal, so the
-/// admissibility test `map[e] == b̂(t)` collapses to a `u32` compare.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct SplitId(pub u32);
-
-impl SplitId {
-    /// Sentinel for "no split" (dead edge slot, taxon without a target).
-    /// Kept out of `Option` so edge-indexed maps stay flat `u32` vectors.
-    pub const NONE: SplitId = SplitId(u32::MAX);
-
-    /// True if this is the [`SplitId::NONE`] sentinel.
-    #[inline]
-    pub fn is_none(self) -> bool {
-        self == SplitId::NONE
-    }
-}
-
-/// An interning arena for canonical splits with LIFO checkpoint/rollback.
-///
-/// The Gentrius search builds projections along a DFS path and undoes them
-/// in strict LIFO order; the arena mirrors that discipline: interning while
-/// descending, [`SplitArena::rollback`] to a [`SplitArena::checkpoint`]
-/// while backtracking. Interning an already-present split is allocation-free
-/// (hash-bucket probe comparing stored words), so the steady state of the
-/// explore loop allocates nothing per node.
-#[derive(Clone)]
-pub struct SplitArena {
-    splits: Vec<Split>,
-    hashes: Vec<u64>,
-    /// Hash → ids with that hash, in increasing id order (so rollback pops).
-    buckets: std::collections::HashMap<u64, Vec<u32>>,
-    /// Scratch for canonicalization; same universe as all interned sides.
-    canon: BitSet,
-}
-
-impl SplitArena {
-    /// Creates an empty arena over the given taxon universe.
-    pub fn new(universe: usize) -> Self {
-        SplitArena {
-            splits: Vec::new(),
-            hashes: Vec::new(),
-            buckets: std::collections::HashMap::new(),
-            canon: BitSet::new(universe),
-        }
-    }
-
-    /// Number of interned splits.
-    pub fn len(&self) -> usize {
-        self.splits.len()
-    }
-
-    /// True if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.splits.is_empty()
-    }
-
-    /// The split behind an id, if `id` is live in this arena.
-    pub fn get(&self, id: SplitId) -> Option<&Split> {
-        self.splits.get(id.0 as usize)
-    }
-
-    /// Canonicalizes `side` as a split of `taxa` and interns it, returning
-    /// the id of the (possibly pre-existing) canonical split. Only
-    /// allocates when the split is genuinely new to the arena.
-    pub fn intern_side(&mut self, side: &BitSet, taxa: &BitSet) -> SplitId {
-        Split::canonicalize_into(side, taxa, &mut self.canon);
-        let hash = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            self.canon.hash(&mut h);
-            h.finish()
-        };
-        if let Some(ids) = self.buckets.get(&hash) {
-            for &id in ids {
-                if *self.splits[id as usize].side() == self.canon {
-                    return SplitId(id);
-                }
-            }
-        }
-        let id = self.splits.len() as u32;
-        self.splits.push(Split {
-            side: self.canon.clone(),
-        });
-        self.hashes.push(hash);
-        self.buckets.entry(hash).or_default().push(id);
-        SplitId(id)
-    }
-
-    /// A mark capturing the current arena size; pass to
-    /// [`SplitArena::rollback`] to drop everything interned after it.
-    pub fn checkpoint(&self) -> usize {
-        self.splits.len()
-    }
-
-    /// Drops every split interned after `mark` (LIFO discipline: ids at or
-    /// beyond the mark must no longer be referenced by live maps).
-    pub fn rollback(&mut self, mark: usize) {
-        while self.splits.len() > mark {
-            self.splits.pop();
-            let id = self.splits.len() as u32;
-            // xlint: allow(panic-freedom) — hashes is maintained in lockstep with splits; divergence means the arena is corrupt
-            let hash = self.hashes.pop().expect("arena hash list out of sync");
-            let mut emptied = false;
-            if let Some(ids) = self.buckets.get_mut(&hash) {
-                debug_assert_eq!(ids.last().copied(), Some(id), "bucket not LIFO");
-                ids.pop();
-                emptied = ids.is_empty();
-            }
-            if emptied {
-                self.buckets.remove(&hash);
-            }
-        }
     }
 }
 
@@ -350,55 +217,5 @@ mod tests {
         let a = Tree::three_leaf(8, t(0), t(1), t(2));
         let b = Tree::three_leaf(8, t(0), t(1), t(3));
         assert!(!topo_eq(&a, &b));
-    }
-
-    #[test]
-    fn canonicalize_into_matches_canonical() {
-        let taxa = BitSet::from_iter(8, [0, 1, 2, 3, 5]);
-        for side in [
-            BitSet::from_iter(8, [0, 1]),
-            BitSet::from_iter(8, [2, 3]),
-            BitSet::from_iter(8, [0, 2, 5]),
-            BitSet::new(8),
-        ] {
-            let mut out = BitSet::new(8);
-            Split::canonicalize_into(&side, &taxa, &mut out);
-            assert_eq!(&out, Split::canonical(side, &taxa).side());
-        }
-    }
-
-    #[test]
-    fn arena_interns_equal_splits_to_one_id() {
-        let taxa = BitSet::from_iter(8, [0, 1, 2, 3]);
-        let mut arena = SplitArena::new(8);
-        let a = arena.intern_side(&BitSet::from_iter(8, [0, 1]), &taxa);
-        let b = arena.intern_side(&BitSet::from_iter(8, [2, 3]), &taxa); // complement
-        let c = arena.intern_side(&BitSet::from_iter(8, [1, 2]), &taxa);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(arena.len(), 2);
-        assert_eq!(
-            arena.get(a).unwrap().side(),
-            &BitSet::from_iter(8, [2, 3]) // canonical side excludes taxon 0
-        );
-        assert!(arena.get(SplitId::NONE).is_none());
-    }
-
-    #[test]
-    fn arena_checkpoint_rollback_restores_ids() {
-        let taxa = BitSet::from_iter(16, [0, 1, 2, 3, 4, 5]);
-        let mut arena = SplitArena::new(16);
-        let a = arena.intern_side(&BitSet::from_iter(16, [1, 2]), &taxa);
-        let mark = arena.checkpoint();
-        let b = arena.intern_side(&BitSet::from_iter(16, [3, 4]), &taxa);
-        let c = arena.intern_side(&BitSet::from_iter(16, [1, 5]), &taxa);
-        assert_ne!(b, c);
-        arena.rollback(mark);
-        assert_eq!(arena.len(), 1);
-        // Old ids survive, and re-interning after rollback reproduces the
-        // same id assignment (the determinism the undo stack relies on).
-        assert_eq!(arena.intern_side(&BitSet::from_iter(16, [1, 2]), &taxa), a);
-        assert_eq!(arena.intern_side(&BitSet::from_iter(16, [3, 4]), &taxa), b);
-        assert_eq!(arena.intern_side(&BitSet::from_iter(16, [1, 5]), &taxa), c);
     }
 }

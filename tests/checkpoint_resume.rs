@@ -11,7 +11,7 @@
 //! proves the serialized descriptors are faithful, not just the
 //! in-memory ones.
 
-use gentrius_core::state::StateSnapshot;
+use gentrius_core::state::{SnapshotError, StateSnapshot};
 use gentrius_core::{
     canonical_stand_set, CollectNewick, GentriusConfig, InitialTreeRule, MappingMode, RunStats,
     StandProblem, StopCause, StoppingRules, TaxonOrderRule,
@@ -22,7 +22,7 @@ use gentrius_parallel::{
 };
 use gentrius_standfile::ckpt::problem_hash;
 use gentrius_standfile::{Checkpoint, CkptTask};
-use phylo::newick::{parse_forest, to_newick};
+use phylo::newick::{parse_forest, parse_newick, to_newick};
 use phylo::taxa::{TaxonId, TaxonSet};
 use phylo::tree::{EdgeId, Tree};
 use std::time::Duration;
@@ -75,6 +75,72 @@ fn clean_run(
     )
 }
 
+/// A checkpoint over `problem` carrying the given task descriptors.
+fn checkpoint_of(
+    taxa: &TaxonSet,
+    problem: &StandProblem,
+    config: &GentriusConfig,
+    order_code: u8,
+    stats: RunStats,
+    generation: u64,
+    tasks: Vec<CkptTask>,
+) -> Checkpoint {
+    let taxa_names: Vec<String> = taxa.iter().map(|(_, n)| n.to_string()).collect();
+    let constraints: Vec<String> = problem
+        .constraints()
+        .iter()
+        .map(|t| to_newick(t, taxa))
+        .collect();
+    Checkpoint {
+        problem_hash: problem_hash(&taxa_names, &constraints),
+        mapping: config.mapping,
+        order_code,
+        threads: 4,
+        initial_tree: 0,
+        stopping: config.stopping.clone(),
+        stats,
+        generation,
+        output: "differential.stand".into(),
+        taxa: taxa_names,
+        constraints,
+        segments: Vec::new(),
+        tasks,
+    }
+}
+
+/// Encodes and decodes `ck` (so the bytes carry a valid checksum), then
+/// rebuilds every task the way `stand resume` does: a snapshot validated
+/// by `StateSnapshot::from_parts`, whose pending branches are validated by
+/// `StateSnapshot::check_task`.
+fn restore(
+    problem: &StandProblem,
+    ck: &Checkpoint,
+) -> Result<(RunStats, Vec<Task>), SnapshotError> {
+    let decoded = Checkpoint::decode(&ck.encode()).expect("wire round-trip");
+    assert_eq!(&decoded, ck, "decode(encode(ck)) must be identity");
+    let mut restored = Vec::with_capacity(decoded.tasks.len());
+    for t in &decoded.tasks {
+        let tree = Tree::from_arena_dump(&t.tree).expect("arena dump");
+        let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
+        let snap = StateSnapshot::from_parts(
+            problem,
+            tree,
+            remaining,
+            decoded.order_code,
+            decoded.mapping,
+        )?;
+        let branches: Vec<EdgeId> = t.branches.iter().map(|&x| EdgeId(x)).collect();
+        snap.check_task(problem, TaxonId(t.taxon), &branches)?;
+        restored.push(Task::new(
+            snap,
+            TaxonId(t.taxon),
+            branches,
+            t.depth as usize,
+        ));
+    }
+    Ok((decoded.stats, restored))
+}
+
 /// Round-trips an inter-epoch frontier through the `.standckpt` wire
 /// format and rebuilds the tasks from the decoded bytes — the same path
 /// `stand resume` takes across a process boundary.
@@ -86,61 +152,27 @@ fn wire_roundtrip(
     generation: u64,
     tasks: &[Task],
 ) -> (RunStats, Vec<Task>) {
-    let taxa_names: Vec<String> = taxa.iter().map(|(_, n)| n.to_string()).collect();
-    let constraints: Vec<String> = problem
-        .constraints()
+    let descriptors = tasks
         .iter()
-        .map(|t| to_newick(t, taxa))
-        .collect();
-    let ck = Checkpoint {
-        problem_hash: problem_hash(&taxa_names, &constraints),
-        mapping: config.mapping,
-        order_code: tasks.first().map(|t| t.snapshot.order_code()).unwrap_or(0),
-        threads: 4,
-        initial_tree: 0,
-        stopping: config.stopping.clone(),
-        stats,
-        generation,
-        output: "differential.stand".into(),
-        taxa: taxa_names,
-        constraints,
-        segments: Vec::new(),
-        tasks: tasks
-            .iter()
-            .map(|t| CkptTask {
-                taxon: t.taxon.0,
-                branches: t.branches.iter().map(|e| e.0).collect(),
-                depth: t.depth as u64,
-                remaining: t.snapshot.remaining().iter().map(|x| x.0).collect(),
-                tree: t.snapshot.agile().dump_arena(),
-            })
-            .collect(),
-    };
-    let decoded = Checkpoint::decode(&ck.encode()).expect("wire round-trip");
-    assert_eq!(decoded, ck, "decode(encode(ck)) must be identity");
-    let restored: Vec<Task> = decoded
-        .tasks
-        .iter()
-        .map(|t| {
-            let tree = Tree::from_arena_dump(&t.tree).expect("arena dump");
-            let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
-            let snap = StateSnapshot::from_parts(
-                problem,
-                tree,
-                remaining,
-                decoded.order_code,
-                decoded.mapping,
-            )
-            .expect("snapshot from parts");
-            Task::new(
-                snap,
-                TaxonId(t.taxon),
-                t.branches.iter().map(|&x| EdgeId(x)).collect(),
-                t.depth as usize,
-            )
+        .map(|t| CkptTask {
+            taxon: t.taxon.0,
+            branches: t.branches.iter().map(|e| e.0).collect(),
+            depth: t.depth as u64,
+            remaining: t.snapshot.remaining().iter().map(|x| x.0).collect(),
+            tree: t.snapshot.agile().dump_arena(),
         })
         .collect();
-    (decoded.stats, restored)
+    let order_code = tasks.first().map(|t| t.snapshot.order_code()).unwrap_or(0);
+    let ck = checkpoint_of(
+        taxa,
+        problem,
+        config,
+        order_code,
+        stats,
+        generation,
+        descriptors,
+    );
+    restore(problem, &ck).expect("a captured frontier restores")
 }
 
 /// Runs the enumeration as a sequence of paused epochs, pushing every
@@ -278,4 +310,91 @@ fn resumed_run_honors_cumulative_count_limit() {
         "unbounded overshoot past the cumulative limit ({} vs {limit})",
         r2.stats.stand_trees
     );
+}
+
+/// One pending task descriptor: insert `taxon` on `branches` of `agile`.
+fn descriptor(problem: &StandProblem, agile: &Tree, taxon: u32, branches: &[u32]) -> CkptTask {
+    CkptTask {
+        taxon,
+        branches: branches.to_vec(),
+        depth: 0,
+        remaining: problem
+            .all_taxa()
+            .difference(agile.taxa())
+            .iter()
+            .map(|t| t as u32)
+            .collect(),
+        tree: agile.dump_arena(),
+    }
+}
+
+/// A checksum-valid checkpoint whose agile tree contradicts a constraint
+/// (`A|C ≠ T|C`) is rejected with a typed error, in both mapping modes.
+#[test]
+fn restore_rejects_an_agile_tree_incompatible_with_a_constraint() {
+    for mapping in [MappingMode::Recompute, MappingMode::EdgeIndexed] {
+        let (taxa, problem, config) = setup(mapping);
+        // Constraint 1 is ((A,B),(C,D)); this tree on the same taxa swaps B and C.
+        let agile = parse_newick("((A,C),(B,D));", &taxa).unwrap();
+        let good = problem.constraints()[0].clone();
+        for (tree, want) in [
+            (&agile, Err(SnapshotError::Incompatible { constraint: 0 })),
+            (&good, Ok(1)),
+        ] {
+            let task = descriptor(&problem, tree, 4, &[]);
+            let ck = checkpoint_of(&taxa, &problem, &config, 1, RunStats::new(), 1, vec![task]);
+            let got = restore(&problem, &ck).map(|(_, tasks)| tasks.len());
+            assert_eq!(got, want, "{mapping}");
+        }
+    }
+}
+
+/// A checksum-valid checkpoint whose pending branch is a dead edge id, or
+/// a live edge that is not admissible for the pending taxon, is rejected
+/// with a typed error; the admissible branches restore.
+#[test]
+fn restore_rejects_dead_and_inadmissible_pending_branches() {
+    // The second constraint pins E as sister of C with respect to {A, B}.
+    let (taxa, trees) = parse_forest(["((A,B),(C,D));", "((A,B),(C,E));"]).unwrap();
+    let problem = StandProblem::from_constraints(trees).unwrap();
+    let agile = problem.constraints()[0].clone();
+    let e = taxa.get("E").unwrap();
+    let pendant = |name: &str| {
+        let leaf = agile.leaf(taxa.get(name).unwrap()).unwrap();
+        agile.adjacent_edges(leaf)[0].0
+    };
+    let bad_edge = pendant("A");
+    let good_edges = [pendant("C"), pendant("D")];
+    let dead_edge = agile.edge_id_bound() as u32 + 3;
+    for mapping in [MappingMode::Recompute, MappingMode::EdgeIndexed] {
+        let config = GentriusConfig {
+            initial_tree: InitialTreeRule::Index(0),
+            taxon_order: TaxonOrderRule::Dynamic,
+            stopping: StoppingRules::unlimited(),
+            mapping,
+        };
+        let cases = [
+            (good_edges.to_vec(), Ok(1)),
+            (
+                vec![good_edges[0], bad_edge],
+                Err(SnapshotError::InadmissibleBranch {
+                    taxon: e.0,
+                    edge: bad_edge,
+                }),
+            ),
+            (
+                vec![dead_edge],
+                Err(SnapshotError::DeadBranch {
+                    taxon: e.0,
+                    edge: dead_edge,
+                }),
+            ),
+        ];
+        for (branches, want) in cases {
+            let task = descriptor(&problem, &agile, e.0, &branches);
+            let ck = checkpoint_of(&taxa, &problem, &config, 1, RunStats::new(), 1, vec![task]);
+            let got = restore(&problem, &ck).map(|(_, tasks)| tasks.len());
+            assert_eq!(got, want, "{mapping}: branches {branches:?}");
+        }
+    }
 }
