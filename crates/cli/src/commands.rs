@@ -428,13 +428,12 @@ fn build_checkpoint(
 }
 
 /// Rebuilds the problem, config and pending tasks from a decoded
-/// checkpoint. Every reconstructed snapshot is re-validated against the
-/// reconstructed problem ([`StateSnapshot::from_parts`]: the agile tree
-/// must be compatible with every constraint) and every pending task's
-/// branches against its snapshot ([`StateSnapshot::check_task`]: live and
-/// admissible edges), so a checkpoint that passed the checksum but carries
-/// an inconsistent frontier is rejected with an error rather than
-/// enumerating wrong stands.
+/// checkpoint. Every pending task goes through
+/// [`StateSnapshot::restore_task`], which re-validates it against the
+/// reconstructed problem (the agile tree compatible with every
+/// constraint, the pending branches live and admissible), so a checkpoint
+/// that passed the checksum but carries an inconsistent frontier is
+/// rejected with an error rather than enumerating wrong stands.
 fn restore_checkpoint(
     c: &Checkpoint,
 ) -> Result<(TaxonSet, StandProblem, GentriusConfig, Vec<Task>), CliError> {
@@ -465,13 +464,17 @@ fn restore_checkpoint(
     let mut tasks = Vec::with_capacity(c.tasks.len());
     for (i, t) in c.tasks.iter().enumerate() {
         let bad = |e: String| CliError(format!("checkpoint task {}: {e}", i + 1));
-        let tree = Tree::from_arena_dump(&t.tree).map_err(|e| bad(e.to_string()))?;
-        let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
-        let snap = StateSnapshot::from_parts(&problem, tree, remaining, c.order_code, c.mapping)
-            .map_err(|e| bad(e.to_string()))?;
         let branches: Vec<EdgeId> = t.branches.iter().map(|&x| EdgeId(x)).collect();
-        snap.check_task(&problem, TaxonId(t.taxon), &branches)
-            .map_err(|e| bad(e.to_string()))?;
+        let snap = StateSnapshot::restore_task(
+            &problem,
+            &t.tree,
+            &t.remaining,
+            c.order_code,
+            c.mapping,
+            TaxonId(t.taxon),
+            &branches,
+        )
+        .map_err(|e| bad(e.to_string()))?;
         tasks.push(Task::new(
             snap,
             TaxonId(t.taxon),

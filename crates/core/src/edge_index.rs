@@ -36,6 +36,7 @@
 use crate::mapping::{project_edges_into, project_targets_into, CladeKey, ProjectionScratch};
 use crate::problem::StandProblem;
 use phylo::bitset::BitSet;
+use phylo::ops::compatible;
 use phylo::taxa::TaxonId;
 use phylo::tree::{EdgeId, Insertion, Tree};
 
@@ -77,7 +78,19 @@ pub struct EdgeIndexedMaps {
 
 impl EdgeIndexedMaps {
     /// Builds the kernels for the root state.
+    ///
+    /// `agile` must be compatible with every constraint (`A|C = T|C`):
+    /// clade keys name an edge only relative to that shared restriction,
+    /// and on an incompatible tree distinct splits can share a key. Every
+    /// entry point checks this before building a search state.
     pub fn new(problem: &StandProblem, agile: &Tree) -> Self {
+        debug_assert!(
+            problem
+                .constraints()
+                .iter()
+                .all(|cons| compatible(agile, cons)),
+            "edge-indexed kernels need an agile tree compatible with every constraint"
+        );
         let mut scratch = ProjectionScratch::new();
         let mut cons_map = Vec::new();
         let per = problem

@@ -167,7 +167,12 @@ impl CladeKey {
     /// [`CladeKey::pack`] never returns it.
     pub const NONE: CladeKey = CladeKey(u32::MAX);
 
-    /// The largest taxon universe whose keys all pack into a `u32`.
+    /// The largest taxon universe whose keys all pack into a `u32`: a
+    /// clade excludes the root taxon, so its smallest taxon and its size
+    /// are both at most `universe - 1`, and `(U-1)·(U+1) + U-1` stays
+    /// below [`CladeKey::NONE`] exactly for `U ≤ 65,535`
+    /// (`key_packing_is_checked_at_the_u32_bound` pins this on
+    /// [`CladeKey::pack`]).
     pub const MAX_UNIVERSE: usize = 65_535;
 
     /// True if this is the [`CladeKey::NONE`] sentinel.
@@ -195,12 +200,9 @@ impl CladeKey {
         }
     }
 
-    /// True if every clade key over a universe of `universe` taxa packs:
-    /// a clade excludes the root taxon, so its smallest taxon and its size
-    /// are both at most `universe - 1`. Holds exactly for universes of at
-    /// most [`CladeKey::MAX_UNIVERSE`] taxa.
+    /// True if every clade key over a universe of `universe` taxa packs.
     pub fn fits(universe: usize) -> bool {
-        universe == 0 || CladeKey::pack(universe - 1, universe - 1, universe).is_some()
+        universe <= CladeKey::MAX_UNIVERSE
     }
 
     /// The key of a canonical split of `C` (its side excludes `min C`),

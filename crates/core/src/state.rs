@@ -15,7 +15,7 @@ use crate::problem::StandProblem;
 use phylo::ops::compatible;
 use phylo::split::Split;
 use phylo::taxa::TaxonId;
-use phylo::tree::{EdgeId, Insertion, Tree};
+use phylo::tree::{ArenaDump, EdgeId, Insertion, Tree, TreeError};
 
 /// Undo record for one taxon insertion (tree edit + taxon bookkeeping).
 #[derive(Clone, Debug)]
@@ -186,12 +186,33 @@ impl StateSnapshot {
         })
     }
 
-    /// Validates a pending task read back with this snapshot: unless
+    /// Rebuilds the state of a pending task read back from a checkpoint:
+    /// the agile tree from its arena image ([`Tree::from_arena_dump`]),
+    /// the snapshot from its parts ([`StateSnapshot::from_parts`]), and
+    /// then the task itself is validated against the snapshot: unless
     /// `branches` is empty, `taxon` must be remaining, and every branch
     /// must be a live edge of the agile tree that is admissible for
-    /// `taxon`. Admissibility is decided by the Recompute oracle, not by
-    /// this snapshot's own engine.
-    pub fn check_task(
+    /// `taxon`. This is the one restore path every checkpoint reader
+    /// takes, so everything the kernels assume is checked here.
+    pub fn restore_task(
+        problem: &StandProblem,
+        agile: &ArenaDump,
+        remaining: &[u32],
+        order_code: u8,
+        mapping: MappingMode,
+        taxon: TaxonId,
+        branches: &[EdgeId],
+    ) -> Result<StateSnapshot, SnapshotError> {
+        let tree = Tree::from_arena_dump(agile).map_err(SnapshotError::Arena)?;
+        let remaining = remaining.iter().map(|&t| TaxonId(t)).collect();
+        let snap = StateSnapshot::from_parts(problem, tree, remaining, order_code, mapping)?;
+        snap.check_task(problem, taxon, branches)?;
+        Ok(snap)
+    }
+
+    /// The task half of [`StateSnapshot::restore_task`]. Admissibility is
+    /// decided by the Recompute oracle, not by this snapshot's own engine.
+    fn check_task(
         &self,
         problem: &StandProblem,
         taxon: TaxonId,
@@ -232,10 +253,12 @@ impl StateSnapshot {
     }
 }
 
-/// Why [`StateSnapshot::from_parts`] or [`StateSnapshot::check_task`]
+/// Why [`StateSnapshot::from_parts`] or [`StateSnapshot::restore_task`]
 /// rejected a serialized state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
+    /// The agile tree's arena image does not describe a valid tree.
+    Arena(TreeError),
     /// The order-engine wire byte is not 0, 1 or 2.
     UnknownOrder(u8),
     /// The agile tree addresses a different taxon universe.
@@ -279,6 +302,7 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SnapshotError::Arena(e) => write!(f, "agile tree: {e}"),
             SnapshotError::UnknownOrder(c) => write!(f, "unknown order-engine code {c}"),
             SnapshotError::UniverseMismatch { agile, problem } => write!(
                 f,

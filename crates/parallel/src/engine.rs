@@ -45,11 +45,6 @@ pub struct ParallelConfig {
     /// flushes cannot, because parked or starved workers never flush — so
     /// disable it only in tests that deliberately model the old behavior.
     pub monitor: Option<MonitorConfig>,
-    /// Adaptive task granularity: gate split publication on the observed
-    /// steal-to-execute ratio (sampled each monitor tick), so workers stop
-    /// paying for state snapshots once the pool is saturated. A single
-    /// worker under this mode never splits at all (nobody can steal).
-    pub adaptive_split: bool,
     /// Steps between polls of the shared stop flag in the worker hot loop.
     /// Larger strides keep the (cheap but shared) flag read off the
     /// per-state path; the stop-overshoot bound grows by at most one
@@ -80,7 +75,6 @@ impl ParallelConfig {
             steal_seed: 0,
             trace: false,
             monitor: Some(MonitorConfig::default()),
-            adaptive_split: true,
             stop_poll_stride: if single { 1 } else { 64 },
         }
     }
@@ -287,26 +281,16 @@ where
 {
     assert!(pcfg.threads >= 1, "need at least one worker thread");
     let initial = problem.initial_tree_index(&config.initial_tree)?;
-    // The root state is built before any thread is spawned, so an
-    // order-rule problem surfaces as an error.
-    let (start, base_stats) = match resume {
-        None => (
-            Start::Root(new_state(problem, initial, config)?),
-            RunStats::new(),
-        ),
-        Some(f) => (Start::Frontier(f.tasks), f.base),
-    };
     let started = Instant::now();
 
-    // Root invariant check (same as the serial driver). A resumed frontier
+    // Root invariant check (same as the serial driver, and before the
+    // root state's kernels are built, which assume it). A resumed frontier
     // already passed it in the epoch that captured it — and carries real
     // pending work regardless, so it must not be short-circuited.
     let agile0 = &problem.constraints()[initial];
     let mut sinks = Vec::new();
     let mut prefix_sink = make_sink(0);
-    if matches!(start, Start::Root(_))
-        && problem.constraints().iter().any(|c| !compatible(agile0, c))
-    {
+    if resume.is_none() && problem.constraints().iter().any(|c| !compatible(agile0, c)) {
         sinks.push(prefix_sink);
         return Ok((
             ParallelRunResult {
@@ -325,13 +309,26 @@ where
             Vec::new(),
         ));
     }
+    // The root state is built before any thread is spawned, so an
+    // order-rule problem surfaces as an error.
+    let (start, base_stats) = match resume {
+        None => (
+            Start::Root(new_state(problem, initial, config)?),
+            RunStats::new(),
+        ),
+        Some(f) => (Start::Frontier(f.tasks), f.base),
+    };
 
     let global = GlobalCounters::with_base(config.stopping.clone(), base_stats);
     // The pool exists for the whole run (even though workers only spawn in
     // phase 3) so the monitor can wake parked threads and sample scheduler
     // state from its very first tick.
+    // Adaptive task granularity: split publication is gated on the
+    // observed steal-to-execute ratio (sampled each monitor tick), so
+    // workers stop paying for state snapshots once the pool is saturated.
+    // A single worker never splits at all (nobody can steal).
     let mut pool = TaskPool::with_seed(pcfg.threads, pcfg.capacity(), pcfg.steal_seed);
-    pool.set_adaptive(pcfg.adaptive_split);
+    pool.set_adaptive(true);
     let pool = pool;
     let monitor_shared = pcfg.monitor.as_ref().map(MonitorShared::new);
 

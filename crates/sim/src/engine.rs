@@ -200,7 +200,6 @@ pub fn simulate(
     // The root state; building it surfaces order-rule problems.
     let mut root = SearchState::new(problem, initial, &config.taxon_order)
         .map_err(ProblemError::BadTaxonOrder)?;
-    root.enable_mapping(config.mapping);
     let cost = sim.cost;
     let mut counters = Counters {
         global: RunStats::new(),
@@ -224,6 +223,8 @@ pub fn simulate(
             timeline: None,
         });
     }
+    // Kernels are built only on a compatible root, which they assume.
+    root.enable_mapping(config.mapping);
 
     // ---------------- Phase 1: serial prefix ----------------
     let mut sink = CountOnly;

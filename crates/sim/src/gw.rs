@@ -24,6 +24,7 @@
 use gentrius_core::explore::{Explorer, StepEvent};
 use gentrius_core::state::SearchState;
 use gentrius_core::{CountOnly, GentriusConfig, ProblemError, StandProblem};
+use phylo::ops::compatible;
 use std::collections::BTreeMap;
 
 /// The engine's §III-A split cut-off (the default of
@@ -88,20 +89,32 @@ pub struct SearchProfile {
 }
 
 /// Runs a serial, budget-capped exploration and records per-stratum
-/// offspring observations. Mirrors `run_serial`'s setup (initial tree,
-/// taxon order, mapping engine) so the profiled tree is the same tree the
-/// engines search. DFS descends to full depth immediately, so even small
-/// budgets populate every stratum.
+/// offspring observations. Mirrors `run_serial`'s setup (compatibility
+/// check, initial tree, taxon order, mapping engine) so the profiled tree
+/// is the same tree the engines search: an initial tree incompatible with
+/// a constraint yields an empty profile, as it yields an empty stand.
+/// DFS descends to full depth immediately, so even small budgets populate
+/// every stratum.
 pub fn profile_search(
     problem: &StandProblem,
     config: &GentriusConfig,
     max_events: u64,
 ) -> Result<SearchProfile, ProblemError> {
     let initial = problem.initial_tree_index(&config.initial_tree)?;
+    let depth = problem.all_taxa().count() - problem.constraints()[initial].taxa().count();
+    let agile0 = &problem.constraints()[initial];
+    if !problem.constraints().iter().all(|c| compatible(agile0, c)) {
+        return Ok(SearchProfile {
+            depth,
+            root_offspring: 0,
+            strata: (1..=depth).map(StratumStats::new).collect(),
+            events: 0,
+            truncated: false,
+        });
+    }
     let mut state = SearchState::new(problem, initial, &config.taxon_order)
         .map_err(ProblemError::BadTaxonOrder)?;
     state.enable_mapping(config.mapping);
-    let depth = problem.all_taxa().count() - problem.constraints()[initial].taxa().count();
     let mut ex = Explorer::new_root(state);
     let root_offspring = ex.top().map(|f| f.branches.len() as u64).unwrap_or(0);
     let mut strata: Vec<StratumStats> = (1..=depth).map(StratumStats::new).collect();
@@ -504,6 +517,22 @@ mod tests {
         assert_eq!(trees, serial.stats.stand_trees);
         assert_eq!(states, serial.stats.intermediate_states);
         assert_eq!(dead, serial.stats.dead_ends);
+    }
+
+    #[test]
+    fn incompatible_input_profiles_as_an_empty_stand() {
+        // Both trees hold {A, B, C, D} but split it differently (AD|BC vs
+        // BD|AC), so the stand is empty; the profile must not search it.
+        let (_, trees) = parse_forest(["((A,D),(B,C));", "((B,D),E,(A,C));"]).unwrap();
+        let p = StandProblem::from_constraints(trees).unwrap();
+        let cfg = GentriusConfig::exhaustive();
+        let serial = run_serial(&p, &cfg, &mut CountOnly).unwrap();
+        assert_eq!(serial.stats.stand_trees, 0);
+        let profile = profile_search(&p, &cfg, u64::MAX).unwrap();
+        assert_eq!((profile.events, profile.root_offspring), (0, 0));
+        assert!(!profile.truncated);
+        assert!(profile.strata.iter().all(|s| s.nodes == 0));
+        assert_eq!(GwModel::fit(&profile).predict_counts().stand_trees, 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and 1/2/4 threads — yields the *exact* clean-run counters and the
 //! byte-identical canonical stand set. Every inter-epoch frontier is
 //! additionally round-tripped through the `.standckpt` wire format
-//! (encode → decode → `StateSnapshot::from_parts`), so the harness also
+//! (encode → decode → `StateSnapshot::restore_task`), so the harness also
 //! proves the serialized descriptors are faithful, not just the
 //! in-memory ones.
 
@@ -109,9 +109,8 @@ fn checkpoint_of(
 }
 
 /// Encodes and decodes `ck` (so the bytes carry a valid checksum), then
-/// rebuilds every task the way `stand resume` does: a snapshot validated
-/// by `StateSnapshot::from_parts`, whose pending branches are validated by
-/// `StateSnapshot::check_task`.
+/// rebuilds every task through `StateSnapshot::restore_task`, the
+/// validating restore `stand resume` runs.
 fn restore(
     problem: &StandProblem,
     ck: &Checkpoint,
@@ -120,17 +119,16 @@ fn restore(
     assert_eq!(&decoded, ck, "decode(encode(ck)) must be identity");
     let mut restored = Vec::with_capacity(decoded.tasks.len());
     for t in &decoded.tasks {
-        let tree = Tree::from_arena_dump(&t.tree).expect("arena dump");
-        let remaining: Vec<TaxonId> = t.remaining.iter().map(|&x| TaxonId(x)).collect();
-        let snap = StateSnapshot::from_parts(
+        let branches: Vec<EdgeId> = t.branches.iter().map(|&x| EdgeId(x)).collect();
+        let snap = StateSnapshot::restore_task(
             problem,
-            tree,
-            remaining,
+            &t.tree,
+            &t.remaining,
             decoded.order_code,
             decoded.mapping,
+            TaxonId(t.taxon),
+            &branches,
         )?;
-        let branches: Vec<EdgeId> = t.branches.iter().map(|&x| EdgeId(x)).collect();
-        snap.check_task(problem, TaxonId(t.taxon), &branches)?;
         restored.push(Task::new(
             snap,
             TaxonId(t.taxon),
